@@ -195,11 +195,14 @@ int main(int argc, char** argv) {
       .Cell(serve_on_s > 0.0 ? serve_off_s / serve_on_s : 0.0, 2)
       .Cell(hit_rate, 2);
   table.PrintText(std::cout);
-  std::printf("exec stats: plan ewma %.1f us, cover ewma %.1f ms, solve "
-              "ewma %.1f ms\n",
-              ctx.stats.snapshot().plan.ewma_seconds * 1e6,
-              ctx.stats.snapshot().cover_build.ewma_seconds * 1e3,
-              ctx.stats.snapshot().solve.ewma_seconds * 1e3);
+  const exec::StatsRegistry::Snapshot exec_stats = ctx.stats.snapshot();
+  std::printf("exec stats: plan ewma %.1f us, cover ewma %.1f ms "
+              "(traverse %.1f ms, transpose %.1f ms), solve ewma %.1f ms\n",
+              exec_stats.plan.ewma_seconds * 1e6,
+              exec_stats.cover_build.ewma_seconds * 1e3,
+              exec_stats.cover_traverse.ewma_seconds * 1e3,
+              exec_stats.cover_transpose.ewma_seconds * 1e3,
+              exec_stats.solve.ewma_seconds * 1e3);
 
   const std::string json_path = bench::JsonOutPath(argc, argv, "BENCH_exec.json");
   std::ofstream json(json_path);
@@ -212,7 +215,11 @@ int main(int argc, char** argv) {
        << ", \"serve_on_s\": " << serve_on_s
        << ", \"cover_hit_rate\": " << hit_rate
        << ", \"cover_cache_hits\": " << on_stats.cover_cache.hits
-       << ", \"cover_cache_misses\": " << on_stats.cover_cache.misses << "}\n"
+       << ", \"cover_cache_misses\": " << on_stats.cover_cache.misses
+       << ", \"cover_traverse_ewma_ms\": "
+       << exec_stats.cover_traverse.ewma_seconds * 1e3
+       << ", \"cover_transpose_ewma_ms\": "
+       << exec_stats.cover_transpose.ewma_seconds * 1e3 << "}\n"
        << "  ]\n}\n";
   std::printf("\nwrote %s\n", json_path.c_str());
 

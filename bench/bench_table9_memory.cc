@@ -117,7 +117,7 @@ int main(int argc, char** argv) {
       ef_offset_bytes == 0 ? 0.0
                            : static_cast<double>(plain_offset_bytes) /
                                  static_cast<double>(ef_offset_bytes);
-  std::printf("TL offset table (instance 0, %u lists): plain u64 %s, "
+  std::printf("TL offset table (instance 0, %zu lists): plain u64 %s, "
               "Elias-Fano %s, ratio %.2fx\n",
               inst0.num_clusters(),
               util::HumanBytes(plain_offset_bytes).c_str(),

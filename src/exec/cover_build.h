@@ -13,9 +13,9 @@
 // not on k, ψ, FM, or existing services — which is exactly why the
 // executor shares one build across every plan with the same CoverKey and
 // the serving layer caches it per snapshot version (serve/cover_cache.h).
-// Construction is deterministic at every thread count (the per-chunk
-// scratch never changes the covers), so a shared cover is bit-identical
-// to a per-query rebuild.
+// Construction is deterministic at every thread count (the per-thread
+// scratch never changes the covers, and every list is sorted on its own),
+// so a shared cover is bit-identical to a per-query rebuild.
 #ifndef NETCLUS_EXEC_COVER_BUILD_H_
 #define NETCLUS_EXEC_COVER_BUILD_H_
 
@@ -36,6 +36,10 @@ struct BuiltCover {
   tops::CoverageIndex approx;
   std::vector<tops::SiteId> rep_sites;
   double build_seconds = 0.0;
+  /// The two phases of build_seconds: the parallel TL traversal that
+  /// computes and sorts each T̂C list, and the TC -> SC transpose.
+  double traverse_seconds = 0.0;
+  double transpose_seconds = 0.0;
   /// approx.MemoryBytes() + the rep_sites footprint — the transient bytes
   /// a non-shared query would have charged.
   uint64_t bytes = 0;

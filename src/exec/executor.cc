@@ -51,7 +51,8 @@ CoverPtr Executor::ObtainCover(const QueryPlan& plan, uint32_t build_threads,
     auto cover = std::make_shared<BuiltCover>(
         BuildCover(*index_, *store_, plan.tau_m, plan.instance, build_threads));
     ctx_->stats.RecordCoverBuild(plan.instance, cover->build_seconds,
-                                 cover->bytes);
+                                 cover->traverse_seconds,
+                                 cover->transpose_seconds, cover->bytes);
     return cover;
   };
   if (hooks_.acquire) {

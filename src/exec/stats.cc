@@ -31,6 +31,8 @@ void StatsRegistry::BindMetrics(obs::MetricsRegistry* metrics) {
   bind_stage(&plan_, "plan");
   bind_stage(&queue_wait_, "queue_wait");
   bind_stage(&cover_build_, "cover_build");
+  bind_stage(&cover_traverse_, "cover_traverse");
+  bind_stage(&cover_transpose_, "cover_transpose");
   bind_stage(&solve_, "solve");
   bind_stage(&assemble_, "assemble");
 
@@ -63,8 +65,11 @@ void StatsRegistry::RecordQueueWait(double seconds) {
 }
 
 void StatsRegistry::RecordCoverBuild(size_t instance, double seconds,
-                                     uint64_t bytes) {
+                                     double traverse_seconds,
+                                     double transpose_seconds, uint64_t bytes) {
   cover_build_.Bump(seconds);
+  cover_traverse_.Bump(traverse_seconds);
+  cover_transpose_.Bump(transpose_seconds);
   covers_built_.fetch_add(1, std::memory_order_relaxed);
   const nc::MutexLock lock(instances_mu_);
   if (instance >= instances_.size()) instances_.resize(instance + 1);
@@ -114,6 +119,14 @@ StatsRegistry::Snapshot StatsRegistry::snapshot() const {
   {
     const nc::MutexLock lock(cover_build_.mu);
     out.cover_build = cover_build_.stats;
+  }
+  {
+    const nc::MutexLock lock(cover_traverse_.mu);
+    out.cover_traverse = cover_traverse_.stats;
+  }
+  {
+    const nc::MutexLock lock(cover_transpose_.mu);
+    out.cover_transpose = cover_transpose_.stats;
   }
   {
     const nc::MutexLock lock(solve_.mu);

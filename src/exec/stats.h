@@ -3,7 +3,8 @@
 // A StatsRegistry accumulates, thread-safely, what the online path
 // actually costs: per-instance cover-build counts and EWMA build
 // latencies, EWMA latencies per executor stage (Plan / CoverBuild /
-// Solve / Assemble), and cover-sharing counters. The serving layer
+// Solve / Assemble, with CoverBuild also split into its traverse and
+// transpose phases), and cover-sharing counters. The serving layer
 // exports a Snapshot through ServerStats so operators can see where
 // query time goes and how often covers are reused; the planner reads
 // the same numbers when describing its decisions.
@@ -46,6 +47,9 @@ class StatsRegistry {
     StageStats plan;
     StageStats queue_wait;  ///< admission-to-first-stage wait (async serving)
     StageStats cover_build;
+    /// The two phases of every cover_build sample (they sum to it).
+    StageStats cover_traverse;
+    StageStats cover_transpose;
     StageStats solve;
     StageStats assemble;
     /// Indexed by instance id; sized to the largest instance seen.
@@ -65,7 +69,11 @@ class StatsRegistry {
 
   void RecordPlan(double seconds);
   void RecordQueueWait(double seconds);
-  void RecordCoverBuild(size_t instance, double seconds, uint64_t bytes);
+  /// One cover build of `seconds`, of which `traverse_seconds` went to the
+  /// TL traversal and `transpose_seconds` to the TC -> SC transpose.
+  void RecordCoverBuild(size_t instance, double seconds,
+                        double traverse_seconds, double transpose_seconds,
+                        uint64_t bytes);
   void RecordCoverShared();
   void RecordSolve(double seconds);
   void RecordAssemble(double seconds);
@@ -99,6 +107,8 @@ class StatsRegistry {
   StageSlot plan_;
   StageSlot queue_wait_;
   StageSlot cover_build_;
+  StageSlot cover_traverse_;
+  StageSlot cover_transpose_;
   StageSlot solve_;
   StageSlot assemble_;
   mutable nc::Mutex instances_mu_;

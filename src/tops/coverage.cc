@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cstddef>
+#include <cstring>
+#include <limits>
 #include <unordered_map>
 
 #include "util/float_bits.h"
@@ -15,6 +19,26 @@ namespace {
 
 using graph::NodeId;
 using traj::TrajId;
+
+// CoverEntry {id, dr_m} read as one little-endian word: dr bits above id.
+// For distances that are neither negative nor NaN — every detour distance
+// — the float bits order like the values, so comparing these words is
+// CoverOrder, ties by id included.
+uint64_t PackedKey(const CoverEntry& e) {
+  uint64_t key;
+  std::memcpy(&key, &e, sizeof(key));
+  return key;
+}
+static_assert(sizeof(CoverEntry) == sizeof(uint64_t) &&
+                  offsetof(CoverEntry, dr_m) == sizeof(uint32_t) &&
+                  std::endian::native == std::endian::little,
+              "PackedKey needs the {id, dr_m} little-endian layout");
+
+// Lists up to this length are insertion-sorted.
+constexpr ptrdiff_t kInsertionSortMax = 48;
+
+// Distance rounds of the TC -> SC scatter (see Transpose).
+constexpr uint32_t kScatterRounds = 32;
 
 // Per-site scratch that maps TrajId -> best detour found so far, using a
 // stamped array so that clearing between sites is O(1).
@@ -71,8 +95,8 @@ struct SiteScratch {
   std::unordered_map<TrajId, PairwiseLegs> legs;
 };
 
-// Computes TC(s) into `tc` (sorted by ascending distance) and returns the
-// number of Dijkstra-settled nodes.
+// Computes TC(s) into `tc` (in CoverOrder) and returns the number of
+// Dijkstra-settled nodes.
 uint64_t ComputeSiteCover(const traj::TrajectoryStore& store,
                           const SiteSet& sites, const CoverageConfig& config,
                           SiteScratch& scratch, SiteId s,
@@ -147,13 +171,38 @@ uint64_t ComputeSiteCover(const traj::TrajectoryStore& store,
     const float dr = scratch.detour.best(t);
     if (dr <= config.tau_m) tc.push_back({t, dr});
   }
-  std::sort(tc.begin(), tc.end(), [](const CoverEntry& a, const CoverEntry& b) {
-    return a.dr_m < b.dr_m || (util::BitEqual(a.dr_m, b.dr_m) && a.id < b.id);
-  });
+  SortCovers(tc.data(), tc.data() + tc.size());
   return settled;
 }
 
 }  // namespace
+
+void SortCovers(CoverEntry* first, CoverEntry* last) {
+  uint32_t max_bits = 0;
+  for (const CoverEntry* e = first; e != last; ++e) {
+    max_bits = std::max(max_bits, util::FloatBits(e->dr_m));
+  }
+  // Negative (sign bit set) or NaN distances: the word order would differ.
+  if (max_bits > util::FloatBits(std::numeric_limits<float>::infinity())) {
+    std::sort(first, last, CoverOrder);
+    return;
+  }
+  const auto by_key = [](const CoverEntry& a, const CoverEntry& b) {
+    return PackedKey(a) < PackedKey(b);
+  };
+  if (last - first > kInsertionSortMax) {
+    std::sort(first, last, by_key);
+    return;
+  }
+  if (last - first < 2) return;
+  for (CoverEntry* p = first + 1; p < last; ++p) {
+    const CoverEntry value = *p;
+    const uint64_t key = PackedKey(value);
+    CoverEntry* q = p;
+    for (; q != first && PackedKey(q[-1]) > key; --q) *q = q[-1];
+    *q = value;
+  }
+}
 
 CoverageIndex CoverageIndex::Build(const traj::TrajectoryStore& store,
                                    const SiteSet& sites,
@@ -166,24 +215,21 @@ CoverageIndex CoverageIndex::Build(const traj::TrajectoryStore& store,
 
   const graph::RoadNetwork& net = store.network();
   const size_t num_trajs = store.total_count();
-  index.tc_.resize(sites.size());
-  index.sc_.resize(num_trajs);
 
   // The memory-budget cutoff is defined by sequential site order, so a
   // nonzero budget forces the serial path (Table 9's OOM semantics).
   const unsigned threads =
       config.memory_budget_bytes > 0 ? 1 : util::ResolveThreads(config.threads);
 
+  std::vector<std::vector<CoverEntry>> tc(sites.size());
   if (threads <= 1) {
     SiteScratch scratch(config.backend, &net, num_trajs);
     for (SiteId s = 0; s < sites.size(); ++s) {
       index.stats_.settled_nodes +=
-          ComputeSiteCover(store, sites, config, scratch, s, index.tc_[s]);
-      index.stats_.cover_entries += index.tc_[s].size();
-      if (!budget.Charge(index.tc_[s].size() * sizeof(CoverEntry) * 2 + 64)) {
+          ComputeSiteCover(store, sites, config, scratch, s, tc[s]);
+      index.stats_.cover_entries += tc[s].size();
+      if (!budget.Charge(tc[s].size() * sizeof(CoverEntry) * 2 + 64)) {
         index.oom_ = true;
-        index.tc_.clear();
-        index.sc_.clear();
         index.stats_.build_seconds = timer.Seconds();
         NC_LOG_WARNING << "CoverageIndex: memory budget ("
                        << util::HumanBytes(budget.limit_bytes())
@@ -204,74 +250,123 @@ CoverageIndex CoverageIndex::Build(const traj::TrajectoryStore& store,
           uint64_t local_settled = 0;
           for (size_t s = begin; s < end; ++s) {
             local_settled += ComputeSiteCover(store, sites, config, scratch,
-                                              static_cast<SiteId>(s), index.tc_[s]);
+                                              static_cast<SiteId>(s), tc[s]);
           }
           settled.fetch_add(local_settled, std::memory_order_relaxed);
         },
         grain);
     index.stats_.settled_nodes = settled.load();
-    for (const auto& tc : index.tc_) index.stats_.cover_entries += tc.size();
+    for (const auto& cover : tc) index.stats_.cover_entries += cover.size();
   }
 
-  // Inverse view SC, also sorted by ascending distance. The fill stays
-  // sequential (it scatters across trajectories); the sorts are independent
-  // per trajectory.
-  for (SiteId s = 0; s < index.tc_.size(); ++s) {
-    for (const CoverEntry& e : index.tc_[s]) {
-      index.sc_[e.id].push_back({s, e.dr_m});
-    }
-  }
-  util::ParallelFor(threads, index.sc_.size(), [&](size_t begin, size_t end) {
-    for (size_t t = begin; t < end; ++t) {
-      std::sort(index.sc_[t].begin(), index.sc_[t].end(),
-                [](const CoverEntry& a, const CoverEntry& b) {
-                  return a.dr_m < b.dr_m ||
-                         (util::BitEqual(a.dr_m, b.dr_m) && a.id < b.id);
-                });
-    }
-  });
+  index.tc_ = Csr::Flatten(std::move(tc));
+  index.Transpose(num_trajs, threads);
   if (config.compress_postings) index.Compress();
   index.stats_.build_seconds = timer.Seconds();
   return index;
 }
 
+void CoverageIndex::Transpose(size_t num_trajectories, unsigned threads) {
+  const size_t num_sites = tc_.num_lists();
+  // Pass 1: SC list lengths (prefix-summed into offsets below), the
+  // largest distance, and the TC lists not yet in CoverOrder.
+  sc_.offsets.assign(num_trajectories + 1, 0);
+  float max_dr = 0.0f;
+  std::vector<SiteId> unsorted;
+  for (SiteId s = 0; s < num_sites; ++s) {
+    bool sorted = true;
+    for (uint64_t k = tc_.offsets[s]; k < tc_.offsets[s + 1]; ++k) {
+      const CoverEntry& e = tc_.entries[k];
+      NC_CHECK_LT(e.id, num_trajectories);
+      ++sc_.offsets[e.id + 1];
+      max_dr = std::max(max_dr, e.dr_m);
+      if (k > tc_.offsets[s] && CoverOrder(e, tc_.entries[k - 1])) sorted = false;
+    }
+    if (!sorted) unsorted.push_back(s);
+  }
+  util::ParallelFor(threads, unsorted.size(), [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      const SiteId s = unsorted[i];
+      SortCovers(tc_.entries.data() + tc_.offsets[s],
+                 tc_.entries.data() + tc_.offsets[s + 1]);
+    }
+  });
+  for (size_t t = 0; t < num_trajectories; ++t) {
+    sc_.offsets[t + 1] += sc_.offsets[t];
+  }
+  // Pass 2: scatter in kScatterRounds rounds of rising distance. Round r
+  // moves, from each TC list in site order, the entries up to
+  // (r + 1) / kScatterRounds of max_dr; the TC lists are sorted, so every
+  // round resumes where the last stopped, and the last round takes the
+  // rest. Each SC list then arrives nearly in CoverOrder, which makes its
+  // sort below cheap. The final order comes from that sort alone.
+  sc_.entries.resize(tc_.entries.size());
+  std::vector<uint64_t> cursor(sc_.offsets.begin(), sc_.offsets.end() - 1);
+  std::vector<uint64_t> next(tc_.offsets.begin(), tc_.offsets.end() - 1);
+  for (uint32_t round = 0; round < kScatterRounds; ++round) {
+    const float bound =
+        round + 1 == kScatterRounds
+            ? std::numeric_limits<float>::infinity()
+            : max_dr * static_cast<float>(round + 1) / kScatterRounds;
+    for (SiteId s = 0; s < num_sites; ++s) {
+      const uint64_t end = tc_.offsets[s + 1];
+      uint64_t k = next[s];
+      for (; k < end && !(tc_.entries[k].dr_m > bound); ++k) {
+        const CoverEntry& e = tc_.entries[k];
+        sc_.entries[cursor[e.id]++] = {s, e.dr_m};
+      }
+      next[s] = k;
+    }
+  }
+  util::ParallelFor(threads, num_trajectories, [&](size_t begin, size_t end) {
+    for (size_t t = begin; t < end; ++t) {
+      SortCovers(sc_.entries.data() + sc_.offsets[t],
+                 sc_.entries.data() + sc_.offsets[t + 1]);
+    }
+  });
+}
+
 void CoverageIndex::Compress() {
   if (compressed_) return;
-  store::PostingArenaBuilder tc_builder;
-  for (const auto& list : tc_) tc_builder.AddPairList(list);
-  tc_arena_ = tc_builder.Finish();
-  store::PostingArenaBuilder sc_builder;
-  for (const auto& list : sc_) sc_builder.AddPairList(list);
-  sc_arena_ = sc_builder.Finish();
-  tc_.clear();
-  tc_.shrink_to_fit();
-  sc_.clear();
-  sc_.shrink_to_fit();
+  const auto pack = [](const Csr& csr) {
+    store::PostingArenaBuilder builder;
+    for (size_t i = 0; i < csr.num_lists(); ++i) {
+      builder.AddPairList(csr.entries.data() + csr.offsets[i],
+                          csr.offsets[i + 1] - csr.offsets[i]);
+    }
+    return builder.Finish();
+  };
+  tc_arena_ = pack(tc_);
+  sc_arena_ = pack(sc_);
+  tc_ = Csr();
+  sc_ = Csr();
   compressed_ = true;
+}
+
+CoverageIndex::Csr CoverageIndex::Csr::Flatten(
+    std::vector<std::vector<CoverEntry>> lists) {
+  Csr csr;
+  uint64_t total = 0;
+  for (const auto& list : lists) total += list.size();
+  csr.offsets.reserve(lists.size() + 1);
+  csr.entries.reserve(total);
+  for (auto& list : lists) {
+    csr.entries.insert(csr.entries.end(), list.begin(), list.end());
+    csr.offsets.push_back(csr.entries.size());
+    std::vector<CoverEntry>().swap(list);
+  }
+  return csr;
 }
 
 CoverageIndex CoverageIndex::FromCovers(
     std::vector<std::vector<CoverEntry>> tc, size_t num_trajectories,
-    size_t num_live, double tau_m) {
+    size_t num_live, double tau_m, uint32_t threads) {
   CoverageIndex index;
   index.config_.tau_m = tau_m;
   index.num_live_ = num_live;
-  index.tc_ = std::move(tc);
-  index.sc_.resize(num_trajectories);
-  auto by_distance = [](const CoverEntry& a, const CoverEntry& b) {
-    return a.dr_m < b.dr_m || (util::BitEqual(a.dr_m, b.dr_m) && a.id < b.id);
-  };
-  for (auto& cover : index.tc_) {
-    std::sort(cover.begin(), cover.end(), by_distance);
-    index.stats_.cover_entries += cover.size();
-  }
-  for (SiteId s = 0; s < index.tc_.size(); ++s) {
-    for (const CoverEntry& e : index.tc_[s]) {
-      NC_CHECK_LT(e.id, num_trajectories);
-      index.sc_[e.id].push_back({s, e.dr_m});
-    }
-  }
-  for (auto& sc : index.sc_) std::sort(sc.begin(), sc.end(), by_distance);
+  index.tc_ = Csr::Flatten(std::move(tc));
+  index.stats_.cover_entries = index.tc_.entries.size();
+  index.Transpose(num_trajectories, util::ResolveThreads(threads));
   return index;
 }
 
@@ -395,7 +490,7 @@ double CoverageIndex::EvaluateSelection(const traj::TrajectoryStore& store,
 
 uint64_t CoverageIndex::MemoryBytes() const {
   if (compressed_) return tc_arena_.bytes() + sc_arena_.bytes();
-  return util::NestedVectorBytes(tc_) + util::NestedVectorBytes(sc_);
+  return tc_.MemoryBytes() + sc_.MemoryBytes();
 }
 
 }  // namespace netclus::tops

@@ -31,6 +31,7 @@
 #include "tops/preference.h"
 #include "tops/site_set.h"
 #include "traj/trajectory_store.h"
+#include "util/float_bits.h"
 #include "util/memory.h"
 
 namespace netclus::tops {
@@ -58,7 +59,7 @@ struct CoverageConfig {
   const graph::spf::DistanceBackend* backend = nullptr;
   /// Pack TC/SC into delta-varint arenas after the build (src/store).
   /// The sets are identical — TC()/SC() views decode lazily — but the
-  /// resident footprint drops well below the vector representation.
+  /// resident footprint drops well below the raw CSR representation.
   /// Off by default: the per-query approximate covers of the NetClus
   /// path stay raw for latency; the long-lived exact baselines (Table 9)
   /// and memory-bound deployments turn it on.
@@ -71,11 +72,22 @@ struct CoverEntry {
   float dr_m;
 };
 
-/// Lazy range over one covering set: raw vector storage or compressed
-/// arena storage behind one iterator type, so the solver family
-/// (Inc-Greedy, FM-greedy, Jaccard, variants) traverses either without
-/// materializing vectors.
+/// Lazy range over one covering set: a raw CSR slice or compressed arena
+/// storage behind one iterator type, so the solver family (Inc-Greedy,
+/// FM-greedy, Jaccard, variants) traverses either without materializing
+/// vectors.
 using CoverList = store::PairListView<CoverEntry>;
+
+/// The covering order: ascending d_r, ties by ascending id. Distances are
+/// compared bit for bit on ties, so the order — and everything a solver
+/// derives from it — never depends on how or where a list was sorted.
+inline bool CoverOrder(const CoverEntry& a, const CoverEntry& b) {
+  return a.dr_m < b.dr_m || (util::BitEqual(a.dr_m, b.dr_m) && a.id < b.id);
+}
+
+/// Sorts [first, last) into CoverOrder. Equivalent to std::sort with
+/// CoverOrder, only faster on the short lists covers consist of.
+void SortCovers(CoverEntry* first, CoverEntry* last);
 
 /// Build statistics, reported by the benches.
 struct CoverageStats {
@@ -91,14 +103,16 @@ class CoverageIndex {
   static CoverageIndex Build(const traj::TrajectoryStore& store,
                              const SiteSet& sites, const CoverageConfig& config);
 
-  /// Wraps precomputed covering sets (sorted or not; they are re-sorted).
-  /// This is how NetClus runs the unmodified solver family on cluster
-  /// representatives: the approximate covers T̂C (Eq. 10) become a coverage
-  /// index whose "sites" are representatives. `num_trajectories` sizes the
-  /// SC inverse; `num_live` is the utility denominator.
+  /// Wraps precomputed covering sets (sorted or not; unsorted lists are
+  /// sorted into CoverOrder). This is how NetClus runs the unmodified
+  /// solver family on cluster representatives: the approximate covers T̂C
+  /// (Eq. 10) become a coverage index whose "sites" are representatives.
+  /// `num_trajectories` sizes the SC inverse; `num_live` is the utility
+  /// denominator. `threads` (0 = NETCLUS_THREADS default) only changes how
+  /// fast the lists are sorted and inverted, never the result.
   static CoverageIndex FromCovers(std::vector<std::vector<CoverEntry>> tc,
                                   size_t num_trajectories, size_t num_live,
-                                  double tau_m);
+                                  double tau_m, uint32_t threads = 0);
 
   /// True when the memory budget aborted the build; all queries on an OOM
   /// index are invalid.
@@ -106,9 +120,11 @@ class CoverageIndex {
 
   double tau_m() const { return config_.tau_m; }
   const CoverageConfig& config() const { return config_; }
-  size_t num_sites() const { return compressed_ ? tc_arena_.num_lists() : tc_.size(); }
+  size_t num_sites() const {
+    return compressed_ ? tc_arena_.num_lists() : tc_.num_lists();
+  }
   size_t num_trajectories() const {
-    return compressed_ ? sc_arena_.num_lists() : sc_.size();
+    return compressed_ ? sc_arena_.num_lists() : sc_.num_lists();
   }
 
   /// Live (non-deleted) trajectories in the store at build time; the
@@ -119,16 +135,16 @@ class CoverageIndex {
   /// sets distance-sorted).
   CoverList TC(SiteId s) const {
     if (compressed_) return tc_arena_.PairList<CoverEntry>(s);
-    return CoverList::Raw(tc_[s].data(), tc_[s].size());
+    return tc_.list(s);
   }
 
   /// SC(T): covering sites sorted by ascending d_r.
   CoverList SC(traj::TrajId t) const {
     if (compressed_) return sc_arena_.PairList<CoverEntry>(t);
-    return CoverList::Raw(sc_[t].data(), sc_[t].size());
+    return sc_.list(t);
   }
 
-  /// Packs TC/SC into compressed arenas and drops the vectors. Idempotent;
+  /// Packs TC/SC into compressed arenas and drops the CSR arrays. Idempotent;
   /// views from TC()/SC() decode the same entries in the same order.
   void Compress();
 
@@ -162,9 +178,36 @@ class CoverageIndex {
   uint64_t MemoryBytes() const;
 
  private:
+  /// Covering sets in compressed-sparse-row form: list i is
+  /// entries[offsets[i], offsets[i + 1]). One allocation per side instead
+  /// of one per list.
+  struct Csr {
+    std::vector<uint64_t> offsets{0};
+    std::vector<CoverEntry> entries;
+
+    /// Concatenates `lists` in order, releasing each one once copied.
+    static Csr Flatten(std::vector<std::vector<CoverEntry>> lists);
+    size_t num_lists() const { return offsets.size() - 1; }
+    CoverList list(size_t i) const {
+      return CoverList::Raw(entries.data() + offsets[i],
+                            offsets[i + 1] - offsets[i]);
+    }
+    uint64_t MemoryBytes() const {
+      return util::VectorBytes(offsets) + util::VectorBytes(entries);
+    }
+  };
+
+  /// Sorts every TC list that is not yet in CoverOrder, then fills SC from
+  /// TC by a two-pass counting sort (count per trajectory, then scatter)
+  /// and sorts each SC list. Every list is sorted on its own, so the split
+  /// of lists across `threads` never changes a list.
+  void Transpose(size_t num_trajectories, unsigned threads);
+
   CoverageConfig config_;
-  std::vector<std::vector<CoverEntry>> tc_;
-  std::vector<std::vector<CoverEntry>> sc_;
+  // Raw storage (until Compress()): TC and SC as CSR arrays, each list in
+  // CoverOrder.
+  Csr tc_;
+  Csr sc_;
   store::PostingArena tc_arena_;  ///< packed TC (when compressed_)
   store::PostingArena sc_arena_;  ///< packed SC (when compressed_)
   bool compressed_ = false;

@@ -7,6 +7,7 @@
 #include "tops/inc_greedy.h"
 #include "tops/preference.h"
 #include "tops/site_set.h"
+#include "util/float_bits.h"
 #include "util/rng.h"
 
 namespace netclus::tops {
@@ -290,6 +291,168 @@ TEST(Coverage, FromCoversBuildsConsistentInverse) {
   ASSERT_EQ(cov.SC(1).size(), 2u);
   EXPECT_EQ(cov.SC(1)[0].id, 1u);  // dr 5 sorts first
   EXPECT_EQ(cov.SC(2).size(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// CSR transpose vs the vector-of-vectors transpose it replaced.
+// ---------------------------------------------------------------------------
+
+// The previous FromCovers algorithm, kept verbatim as the reference: sort
+// every TC list, push_back-scatter into per-trajectory SC vectors, sort
+// every SC list.
+struct ReferenceCovers {
+  std::vector<std::vector<CoverEntry>> tc;
+  std::vector<std::vector<CoverEntry>> sc;
+};
+
+ReferenceCovers ReferenceFromCovers(std::vector<std::vector<CoverEntry>> tc,
+                                    size_t num_trajectories) {
+  auto by_distance = [](const CoverEntry& a, const CoverEntry& b) {
+    return a.dr_m < b.dr_m || (util::BitEqual(a.dr_m, b.dr_m) && a.id < b.id);
+  };
+  ReferenceCovers out;
+  out.tc = std::move(tc);
+  out.sc.resize(num_trajectories);
+  for (auto& cover : out.tc) std::sort(cover.begin(), cover.end(), by_distance);
+  for (SiteId s = 0; s < out.tc.size(); ++s) {
+    for (const CoverEntry& e : out.tc[s]) out.sc[e.id].push_back({s, e.dr_m});
+  }
+  for (auto& sc : out.sc) std::sort(sc.begin(), sc.end(), by_distance);
+  return out;
+}
+
+void ExpectSameList(const std::vector<CoverEntry>& expected, const CoverList& actual,
+                    const std::string& what) {
+  ASSERT_EQ(expected.size(), actual.size()) << what;
+  size_t i = 0;
+  for (const CoverEntry& e : actual) {
+    EXPECT_EQ(expected[i].id, e.id) << what << " entry " << i;
+    EXPECT_EQ(util::FloatBits(expected[i].dr_m), util::FloatBits(e.dr_m))
+        << what << " entry " << i;
+    ++i;
+  }
+}
+
+void ExpectSameCovers(const CoverageIndex& expected, const CoverageIndex& actual) {
+  ASSERT_EQ(expected.num_sites(), actual.num_sites());
+  ASSERT_EQ(expected.num_trajectories(), actual.num_trajectories());
+  for (SiteId s = 0; s < expected.num_sites(); ++s) {
+    const CoverList tc = expected.TC(s);
+    ExpectSameList(std::vector<CoverEntry>(tc.begin(), tc.end()), actual.TC(s),
+                   "TC(" + std::to_string(s) + ")");
+  }
+  for (traj::TrajId t = 0; t < expected.num_trajectories(); ++t) {
+    const CoverList sc = expected.SC(t);
+    ExpectSameList(std::vector<CoverEntry>(sc.begin(), sc.end()), actual.SC(t),
+                   "SC(" + std::to_string(t) + ")");
+  }
+}
+
+// Seeded covers shaped to reach every branch of the transpose: lists in
+// random order, distances on a coarse grid so that ties must be broken by
+// id, and spread finely enough that the scatter rounds alone leave SC
+// lists unsorted, empty covers, trajectories no site covers, and lists on
+// both sides of the short-list sort cutoff.
+std::vector<std::vector<CoverEntry>> RandomCovers(uint64_t seed, size_t num_sites,
+                                                  size_t num_trajs) {
+  util::Rng rng(seed);
+  const size_t uncovered_from = num_trajs - num_trajs / 8;  // never covered
+  std::vector<std::vector<CoverEntry>> tc(num_sites);
+  for (SiteId s = 0; s < num_sites; ++s) {
+    if (s % 7 == 3) continue;  // empty cover
+    const double density = s % 5 == 0 ? 0.9 : 0.3;
+    for (traj::TrajId t = 0; t < uncovered_from; ++t) {
+      // Trajectories 0..3 are covered by every non-empty site, so their SC
+      // lists are long.
+      if (t >= 4 && rng.Uniform() >= density) continue;
+      // Half the distances on a 25 m grid (ties), half anywhere.
+      const float dr = rng.Bernoulli(0.5)
+                           ? static_cast<float>(25 * rng.UniformInt(12))
+                           : static_cast<float>(rng.Uniform(0.0, 300.0));
+      tc[s].push_back({t, dr});
+    }
+    for (size_t i = tc[s].size(); i > 1; --i) {
+      std::swap(tc[s][i - 1], tc[s][rng.UniformInt(i)]);
+    }
+  }
+  return tc;
+}
+
+TEST(CoverageTranspose, FromCoversMatchesVectorOfVectorsReference) {
+  for (const uint64_t seed : {3u, 17u, 29u}) {
+    const size_t num_sites = 90, num_trajs = 160;
+    const std::vector<std::vector<CoverEntry>> input =
+        RandomCovers(seed, num_sites, num_trajs);
+    const ReferenceCovers ref = ReferenceFromCovers(input, num_trajs);
+    for (const uint32_t threads : {1u, 4u}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " threads " +
+                   std::to_string(threads));
+      const CoverageIndex cov =
+          CoverageIndex::FromCovers(input, num_trajs, num_trajs, 300.0, threads);
+      ASSERT_EQ(cov.num_sites(), num_sites);
+      ASSERT_EQ(cov.num_trajectories(), num_trajs);
+      size_t entries = 0;
+      for (SiteId s = 0; s < num_sites; ++s) {
+        ExpectSameList(ref.tc[s], cov.TC(s), "TC(" + std::to_string(s) + ")");
+        entries += ref.tc[s].size();
+      }
+      for (traj::TrajId t = 0; t < num_trajs; ++t) {
+        ExpectSameList(ref.sc[t], cov.SC(t), "SC(" + std::to_string(t) + ")");
+      }
+      EXPECT_EQ(cov.stats().cover_entries, entries);
+      EXPECT_TRUE(cov.TC(3).empty());
+      EXPECT_TRUE(cov.SC(num_trajs - 1).empty());
+      EXPECT_GT(cov.SC(0).size(), 48u);  // past the short-list cutoff
+    }
+  }
+}
+
+TEST(CoverageTranspose, BuildIsIdenticalAcrossThreadsRawAndCompressed) {
+  graph::RoadNetwork net = test::MakeGridNetwork(9, 9, 110.0);
+  TrajectoryStore store(&net);
+  test::FillRandomWalks(&store, 60, 4, 12, 21);
+  store.Remove(5);  // a deleted trajectory: an SC list no site fills
+  const SiteSet sites = SiteSet::AllNodes(net);
+  CoverageConfig config;
+  config.tau_m = 700.0;
+  config.threads = 1;
+  CoverageIndex serial = CoverageIndex::Build(store, sites, config);
+  config.threads = 4;
+  CoverageIndex parallel = CoverageIndex::Build(store, sites, config);
+  EXPECT_TRUE(serial.SC(5).empty());
+  EXPECT_EQ(serial.stats().cover_entries, parallel.stats().cover_entries);
+  ExpectSameCovers(serial, parallel);
+
+  serial.Compress();
+  parallel.Compress();
+  ASSERT_TRUE(serial.compressed());
+  ExpectSameCovers(serial, parallel);
+  config.threads = 1;
+  ExpectSameCovers(CoverageIndex::Build(store, sites, config), parallel);
+}
+
+TEST(CoverageTranspose, SortCoversMatchesCoverOrderSort) {
+  util::Rng rng(77);
+  for (const size_t n : {0u, 1u, 2u, 17u, 48u, 49u, 300u}) {
+    std::vector<CoverEntry> list;
+    for (size_t i = 0; i < n; ++i) {
+      list.push_back({static_cast<uint32_t>(rng.UniformInt(1000)),
+                      static_cast<float>(rng.UniformInt(20)) * 0.5f});
+    }
+    std::vector<CoverEntry> expected = list;
+    std::sort(expected.begin(), expected.end(), CoverOrder);
+    SortCovers(list.data(), list.data() + list.size());
+    ExpectSameList(expected, CoverList::Raw(list.data(), list.size()),
+                   "n=" + std::to_string(n));
+  }
+  // Negative distances cannot take the packed-word path; they still sort
+  // into CoverOrder.
+  std::vector<CoverEntry> mixed = {{4, 2.0f}, {1, -3.0f}, {2, -0.5f}, {0, -3.0f}};
+  SortCovers(mixed.data(), mixed.data() + mixed.size());
+  EXPECT_EQ(mixed[0].id, 0u);
+  EXPECT_EQ(mixed[1].id, 1u);
+  EXPECT_EQ(mixed[2].id, 2u);
+  EXPECT_EQ(mixed[3].id, 4u);
 }
 
 TEST(Coverage, EvaluateSelectionMatchesIndexUtility) {

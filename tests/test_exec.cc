@@ -31,6 +31,7 @@
 #include "test_helpers.h"
 #include "tops/variants.h"
 #include "traj/trip_generator.h"
+#include "util/float_bits.h"
 
 namespace netclus {
 namespace {
@@ -245,6 +246,91 @@ TEST(Exec, ExecutorMatchesLegacyAcrossVariantsThreadsAndBackends) {
           "capacity");
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Cover build determinism across chunk layouts. BuildCover cuts the
+// representatives into ~8 chunks per thread, so every thread count below
+// yields a different layout; the covers and answers must not move.
+// ---------------------------------------------------------------------------
+
+void ExpectSameCoverLists(const tops::CoverList& expected,
+                          const tops::CoverList& actual, const std::string& what) {
+  ASSERT_EQ(expected.size(), actual.size()) << what;
+  auto a = actual.begin();
+  for (const tops::CoverEntry& e : expected) {
+    EXPECT_EQ(e.id, a->id) << what;
+    EXPECT_EQ(util::FloatBits(e.dr_m), util::FloatBits(a->dr_m)) << what;
+    ++a;
+  }
+}
+
+TEST(Exec, BuildCoverIsIdenticalAcrossChunkLayouts) {
+  const Engine engine = MakeEngine(graph::spf::BackendKind::kDefault, 1);
+  for (const double tau : {600.0, 1500.0}) {
+    const size_t p = engine.index().InstanceFor(tau);
+    const exec::BuiltCover serial =
+        exec::BuildCover(engine.index(), engine.store(), tau, p, 1);
+    ASSERT_GT(serial.rep_sites.size(), 16u);  // enough to split many ways
+    for (const uint32_t threads : {2u, 4u, 8u}) {
+      SCOPED_TRACE("tau " + std::to_string(tau) + " threads " +
+                   std::to_string(threads));
+      const exec::BuiltCover cover =
+          exec::BuildCover(engine.index(), engine.store(), tau, p, threads);
+      EXPECT_EQ(serial.rep_sites, cover.rep_sites);
+      EXPECT_EQ(serial.bytes, cover.bytes);
+      const tops::CoverageIndex& a = serial.approx;
+      const tops::CoverageIndex& b = cover.approx;
+      ASSERT_EQ(a.num_sites(), b.num_sites());
+      ASSERT_EQ(a.num_trajectories(), b.num_trajectories());
+      for (SiteId s = 0; s < a.num_sites(); ++s) {
+        ExpectSameCoverLists(a.TC(s), b.TC(s), "TC " + std::to_string(s));
+      }
+      for (traj::TrajId t = 0; t < a.num_trajectories(); ++t) {
+        ExpectSameCoverLists(a.SC(t), b.SC(t), "SC " + std::to_string(t));
+      }
+      EXPECT_GE(cover.traverse_seconds, 0.0);
+      EXPECT_GE(cover.transpose_seconds, 0.0);
+      EXPECT_DOUBLE_EQ(cover.traverse_seconds + cover.transpose_seconds,
+                       cover.build_seconds);
+    }
+  }
+}
+
+TEST(Exec, RunAnswersAreIdenticalAcrossChunkLayouts) {
+  std::vector<Engine::QuerySpec> specs;
+  for (const double tau : {500.0, 900.0, 1400.0, 2100.0}) {
+    Engine::QuerySpec spec;
+    spec.k = 4;
+    spec.tau_m = tau;
+    specs.push_back(spec);
+    spec.psi = PreferenceFunction::Linear();
+    specs.push_back(spec);
+  }
+  const Engine reference = MakeEngine(graph::spf::BackendKind::kDefault, 1);
+  std::vector<index::QueryResult> expected;
+  for (const auto& spec : specs) expected.push_back(reference.Run(spec));
+  for (const uint32_t threads : {2u, 4u, 8u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const Engine engine = MakeEngine(graph::spf::BackendKind::kDefault, threads);
+    for (size_t i = 0; i < specs.size(); ++i) {
+      ExpectBitIdentical(expected[i], engine.Run(specs[i]),
+                         "spec " + std::to_string(i));
+    }
+  }
+}
+
+TEST(Exec, CoverBuildPhasesAreRecorded) {
+  const Engine engine = MakeEngine();
+  (void)engine.TopK(5, 800.0, PreferenceFunction::Binary());
+  const exec::StatsRegistry::Snapshot stats = engine.ExecStats();
+  EXPECT_EQ(stats.cover_traverse.count, 1u);
+  EXPECT_EQ(stats.cover_transpose.count, 1u);
+  EXPECT_GT(stats.cover_traverse.total_seconds, 0.0);
+  EXPECT_GT(stats.cover_transpose.total_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(
+      stats.cover_traverse.total_seconds + stats.cover_transpose.total_seconds,
+      stats.cover_build.total_seconds);
 }
 
 // ---------------------------------------------------------------------------
