@@ -88,6 +88,7 @@ tops::Selection Executor::SolveStage(const QueryPlan& plan,
   }
 
   tops::Selection clustered;
+  SolverKind ran = SolverKind::kIncGreedy;
   switch (plan.variant) {
     case QueryVariant::kTops: {
       // The FM eligibility rule is decided on the *mapped* ES (which can
@@ -97,7 +98,9 @@ tops::Selection Executor::SolveStage(const QueryPlan& plan,
         tops::FmGreedyConfig fm_config;
         fm_config.k = plan.k;
         fm_config.num_sketches = plan.fm_copies;
+        fm_config.threads = plan.threads;
         clustered = FmGreedy(cover.approx, fm_config).selection;
+        ran = SolverKind::kFmGreedy;
       } else {
         if (plan.use_fm && plan.psi.is_binary()) {
           ctx_->stats.RecordFmFallback();
@@ -126,7 +129,9 @@ tops::Selection Executor::SolveStage(const QueryPlan& plan,
       for (SiteId site : cover.rep_sites) {
         cost_config.site_costs.push_back(plan.site_costs[site]);
       }
+      cost_config.threads = plan.threads;
       clustered = CostGreedy(cover.approx, plan.psi, cost_config).selection;
+      ran = SolverKind::kCostGreedy;
       break;
     }
     case QueryVariant::kTopsCapacity: {
@@ -136,13 +141,15 @@ tops::Selection Executor::SolveStage(const QueryPlan& plan,
       for (SiteId site : cover.rep_sites) {
         capacity_config.site_capacities.push_back(plan.site_capacities[site]);
       }
+      capacity_config.threads = plan.threads;
       clustered =
           CapacityGreedy(cover.approx, plan.psi, capacity_config).selection;
+      ran = SolverKind::kCapacityGreedy;
       break;
     }
   }
   *stage_seconds = timer.Seconds();
-  ctx_->stats.RecordSolve(*stage_seconds);
+  ctx_->stats.RecordSolve(ran, *stage_seconds);
   return clustered;
 }
 

@@ -41,6 +41,7 @@ enum class SolverKind : uint8_t {
   kCostGreedy = 2,
   kCapacityGreedy = 3,
 };
+inline constexpr size_t kNumSolverKinds = 4;
 
 const char* VariantName(QueryVariant variant);
 const char* SolverName(SolverKind solver);

@@ -33,7 +33,16 @@ void StatsRegistry::BindMetrics(obs::MetricsRegistry* metrics) {
   bind_stage(&cover_build_, "cover_build");
   bind_stage(&cover_traverse_, "cover_traverse");
   bind_stage(&cover_transpose_, "cover_transpose");
-  bind_stage(&solve_, "solve");
+  // Solve latencies are exported per solver only, so summing the stage's
+  // series still counts every solve once.
+  for (size_t i = 0; i < kNumSolverKinds; ++i) {
+    obs::Histogram* h = metrics->GetHistogram(
+        "netclus_exec_stage_seconds",
+        {{"stage", "solve"},
+         {"solver", SolverName(static_cast<SolverKind>(i))}},
+        "Executor stage latency by stage");
+    solve_by_solver_[i].hist.store(h, std::memory_order_release);
+  }
   bind_stage(&assemble_, "assemble");
 
   const auto bind_count = [&](const char* name, const char* help,
@@ -86,7 +95,10 @@ void StatsRegistry::RecordCoverShared() {
   covers_shared_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void StatsRegistry::RecordSolve(double seconds) { solve_.Bump(seconds); }
+void StatsRegistry::RecordSolve(SolverKind solver, double seconds) {
+  solve_.Bump(seconds);
+  solve_by_solver_[static_cast<size_t>(solver)].Bump(seconds);
+}
 
 void StatsRegistry::RecordAssemble(double seconds) { assemble_.Bump(seconds); }
 
@@ -131,6 +143,10 @@ StatsRegistry::Snapshot StatsRegistry::snapshot() const {
   {
     const nc::MutexLock lock(solve_.mu);
     out.solve = solve_.stats;
+  }
+  for (size_t i = 0; i < kNumSolverKinds; ++i) {
+    const nc::MutexLock lock(solve_by_solver_[i].mu);
+    out.solve_by_solver[i] = solve_by_solver_[i].stats;
   }
   {
     const nc::MutexLock lock(assemble_.mu);

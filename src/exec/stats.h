@@ -4,10 +4,11 @@
 // actually costs: per-instance cover-build counts and EWMA build
 // latencies, EWMA latencies per executor stage (Plan / CoverBuild /
 // Solve / Assemble, with CoverBuild also split into its traverse and
-// transpose phases), and cover-sharing counters. The serving layer
-// exports a Snapshot through ServerStats so operators can see where
-// query time goes and how often covers are reused; the planner reads
-// the same numbers when describing its decisions.
+// transpose phases and Solve also kept per solver), and cover-sharing
+// counters. The serving layer exports a Snapshot through ServerStats so
+// operators can see where query time goes and how often covers are
+// reused; the planner reads the same numbers when describing its
+// decisions.
 //
 // ExecContext bundles the registry with the little bit of per-engine
 // mutable state the execution layer needs (the warn-once flag for the
@@ -17,10 +18,12 @@
 #ifndef NETCLUS_EXEC_STATS_H_
 #define NETCLUS_EXEC_STATS_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <vector>
 
+#include "exec/plan.h"
 #include "obs/metrics.h"
 #include "util/thread_annotations.h"
 
@@ -51,6 +54,9 @@ class StatsRegistry {
     StageStats cover_traverse;
     StageStats cover_transpose;
     StageStats solve;
+    /// The solve samples split by the solver that ran, indexed by
+    /// SolverKind (they sum to `solve`).
+    std::array<StageStats, kNumSolverKinds> solve_by_solver;
     StageStats assemble;
     /// Indexed by instance id; sized to the largest instance seen.
     std::vector<InstanceStats> instances;
@@ -75,7 +81,9 @@ class StatsRegistry {
                         double traverse_seconds, double transpose_seconds,
                         uint64_t bytes);
   void RecordCoverShared();
-  void RecordSolve(double seconds);
+  /// One solve of `seconds` by `solver` (the solver that ran, which for an
+  /// FM request can differ from QueryPlan::solver; see there).
+  void RecordSolve(SolverKind solver, double seconds);
   void RecordAssemble(double seconds);
   void RecordFmFallback();
   void RecordShedOverload();
@@ -110,6 +118,7 @@ class StatsRegistry {
   StageSlot cover_traverse_;
   StageSlot cover_transpose_;
   StageSlot solve_;
+  std::array<StageSlot, kNumSolverKinds> solve_by_solver_;
   StageSlot assemble_;
   mutable nc::Mutex instances_mu_;
   std::vector<InstanceStats> instances_ GUARDED_BY(instances_mu_);

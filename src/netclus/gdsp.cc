@@ -138,14 +138,13 @@ GdspResult RunFmSketch(const graph::RoadNetwork& net,
   result.rt_to_center.assign(n, 0.0f);
 
   // Sketch of Λ(v) per node; base sketch accumulates clustered nodes.
-  std::vector<sketch::FmSketch> sketches;
-  sketches.reserve(n);
+  // Copies of one empty sketch share its per-copy salts.
+  std::vector<sketch::FmSketch> sketches(
+      n, sketch::FmSketch(config.fm_copies, config.fm_seed));
   for (NodeId v = 0; v < n; ++v) {
-    sketch::FmSketch sk(config.fm_copies, config.fm_seed);
     for (uint64_t i = dom.offsets[v]; i < dom.offsets[v + 1]; ++i) {
-      sk.Add(dom.nodes[i]);
+      sketches[v].Add(dom.nodes[i]);
     }
-    sketches.push_back(std::move(sk));
   }
   std::vector<double> standalone(n);
   for (NodeId v = 0; v < n; ++v) standalone[v] = sketches[v].Estimate();

@@ -2,9 +2,9 @@
 
 #include <bit>
 #include <cmath>
+#include <utility>
 
 #include "util/logging.h"
-#include "util/rng.h"
 
 namespace netclus::sketch {
 
@@ -15,17 +15,30 @@ constexpr double kPhi = 0.77351;
 
 FmSketch::FmSketch(uint32_t num_copies, uint64_t seed) : seed_(seed) {
   NC_CHECK_GT(num_copies, 0u);
+  auto salts = std::make_shared<std::vector<uint64_t>>(num_copies);
+  for (uint32_t i = 0; i < num_copies; ++i) {
+    (*salts)[i] = util::SplitMix64(seed + 0x9e3779b97f4a7c15ULL * (i + 1ULL));
+  }
+  salts_ = std::move(salts);
   words_.assign(num_copies, 0u);
 }
 
 void FmSketch::Add(uint64_t element) {
+  const uint64_t* salts = salts_->data();
   for (size_t i = 0; i < words_.size(); ++i) {
-    const uint64_t h = util::SplitMix64(
-        element ^ util::SplitMix64(seed_ + 0x9e3779b97f4a7c15ULL * (i + 1)));
-    // Trailing zero count gives a geometric(1/2) bit position.
-    const int pos = h == 0 ? 31 : std::min(31, std::countr_zero(h));
-    words_[i] |= (1u << pos);
+    words_[i] |= ElementBit(element, salts[i]);
   }
+}
+
+void FmSketch::ElementMask(uint64_t element, uint32_t* mask) const {
+  const uint64_t* salts = salts_->data();
+  for (size_t i = 0; i < words_.size(); ++i) {
+    mask[i] = ElementBit(element, salts[i]);
+  }
+}
+
+void FmSketch::AddMask(const uint32_t* mask) {
+  for (size_t i = 0; i < words_.size(); ++i) words_[i] |= mask[i];
 }
 
 void FmSketch::Merge(const FmSketch& other) {

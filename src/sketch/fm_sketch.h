@@ -14,9 +14,14 @@
 #ifndef NETCLUS_SKETCH_FM_SKETCH_H_
 #define NETCLUS_SKETCH_FM_SKETCH_H_
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
+
+#include "util/rng.h"
 
 namespace netclus::sketch {
 
@@ -27,8 +32,28 @@ class FmSketch {
   explicit FmSketch(uint32_t num_copies = 30,
                     uint64_t seed = 0x5eedf00d5eedf00dULL);
 
-  /// Inserts an element (idempotent).
+  /// Inserts an element (idempotent): ORs ElementBit(element, salt_i) into
+  /// copy i.
   void Add(uint64_t element);
+
+  /// The bit `element` sets in a copy whose salt is `salt`: a single set
+  /// bit at a geometric(1/2) position. Copy i of a sketch with seed `seed`
+  /// has salt SplitMix64(seed + 0x9e3779b97f4a7c15 * (i + 1)). The one
+  /// definition of an element's bits; Add and ElementMask both use it.
+  static uint32_t ElementBit(uint64_t element, uint64_t salt) {
+    const uint64_t h = util::SplitMix64(element ^ salt);
+    // Trailing zero count gives a geometric(1/2) bit position.
+    const int pos = h == 0 ? 31 : std::min(31, std::countr_zero(h));
+    return 1u << pos;
+  }
+
+  /// Writes `element`'s bit of every copy into mask[0, num_copies()).
+  /// AddMask(mask) then equals Add(element), so a caller adding the same
+  /// element to many sketches hashes it once.
+  void ElementMask(uint64_t element, uint32_t* mask) const;
+
+  /// ORs a mask from ElementMask of a sketch with the same copies and seed.
+  void AddMask(const uint32_t* mask);
 
   /// Bitwise-OR union; other must have the same copies and seed.
   void Merge(const FmSketch& other);
@@ -48,6 +73,8 @@ class FmSketch {
   bool IsEmpty() const;
 
   uint32_t num_copies() const { return static_cast<uint32_t>(words_.size()); }
+  /// The sketch's bits, one word per copy.
+  const std::vector<uint32_t>& words() const { return words_; }
   uint64_t seed() const { return seed_; }
 
   /// Standard error of the estimate as a fraction, ~0.78 / sqrt(f).
@@ -60,6 +87,8 @@ class FmSketch {
   static double EstimateFromWords(const uint32_t* words, size_t count);
 
   uint64_t seed_;
+  /// Salt of each copy, computed once; copies of a sketch share it.
+  std::shared_ptr<const std::vector<uint64_t>> salts_;
   std::vector<uint32_t> words_;
 };
 

@@ -20,6 +20,10 @@ struct FmGreedyConfig {
   uint32_t k = 5;
   uint32_t num_sketches = 30;  ///< the paper's f (Table 8 sweeps this)
   uint64_t sketch_seed = 0x5eedf00d5eedf00dULL;
+  /// Worker threads for the sketch build (0 = NETCLUS_THREADS default).
+  /// Each sketch is an OR of per-trajectory masks, so it is identical at
+  /// every thread count; the greedy scan itself is serial.
+  uint32_t threads = 0;
 };
 
 struct FmGreedyResult {

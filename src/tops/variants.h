@@ -20,9 +20,16 @@
 
 namespace netclus::tops {
 
+// Every solver here scores ψ once per solve and scans candidates in
+// parallel chunks whose winners fold left to right with the serial rule
+// (strict `>`, the first site wins ties), so answers are bit-identical at
+// every thread count. `threads` (0 = NETCLUS_THREADS default) sets the
+// workers; the Sec. 7.4/7.5 solvers run at the NETCLUS_THREADS default.
+
 struct CostConfig {
   double budget = 5.0;
   std::vector<double> site_costs;  ///< size = num_sites, all > 0
+  uint32_t threads = 0;
 };
 
 struct CostResult {
@@ -44,6 +51,7 @@ std::vector<double> DrawNormalCosts(size_t num_sites, double mean,
 struct CapacityConfig {
   uint32_t k = 5;
   std::vector<double> site_capacities;  ///< max trajectories per site
+  uint32_t threads = 0;
 };
 
 struct CapacityResult {

@@ -333,6 +333,42 @@ TEST(Exec, CoverBuildPhasesAreRecorded) {
       stats.cover_build.total_seconds);
 }
 
+TEST(Exec, SolvesAreRecordedPerSolver) {
+  const Engine engine = MakeEngine();
+  const std::vector<double> costs =
+      tops::DrawNormalCosts(engine.sites().size(), 1.0, 0.4, 0.1, 63);
+  const std::vector<double> caps(engine.sites().size(), 8.0);
+  const std::vector<SiteId> es =
+      engine.TopK(2, 800.0, PreferenceFunction::Binary()).selection.sites;
+  (void)engine.TopK(3, 900.0, PreferenceFunction::Binary(), /*use_fm=*/true);
+  // FM with existing services runs (and is recorded as) Inc-Greedy.
+  (void)engine.TopK(3, 900.0, PreferenceFunction::Binary(), /*use_fm=*/true,
+                    es);
+  (void)engine.TopKWithBudget(4.0, 800.0, PreferenceFunction::Linear(), costs);
+  (void)engine.TopKWithCapacity(4, 800.0, PreferenceFunction::Binary(), caps);
+  (void)engine.TopKWithCapacity(4, 700.0, PreferenceFunction::Binary(), caps);
+
+  const exec::StatsRegistry::Snapshot stats = engine.ExecStats();
+  const auto count = [&](exec::SolverKind solver) {
+    return stats.solve_by_solver[static_cast<size_t>(solver)].count;
+  };
+  EXPECT_EQ(count(exec::SolverKind::kIncGreedy), 2u);
+  EXPECT_EQ(count(exec::SolverKind::kFmGreedy), 1u);
+  EXPECT_EQ(count(exec::SolverKind::kCostGreedy), 1u);
+  EXPECT_EQ(count(exec::SolverKind::kCapacityGreedy), 2u);
+  EXPECT_EQ(stats.solve.count, 6u);
+  double total = 0.0;
+  for (const auto& per : stats.solve_by_solver) total += per.total_seconds;
+  EXPECT_DOUBLE_EQ(total, stats.solve.total_seconds);
+
+  // The metrics export carries the solver as a label on the solve stage.
+  const std::string prom = engine.DumpMetrics();
+  EXPECT_NE(prom.find("stage=\"solve\",solver=\"capacity-greedy\""),
+            std::string::npos);
+  EXPECT_NE(prom.find("stage=\"solve\",solver=\"fm-greedy\""),
+            std::string::npos);
+}
+
 // ---------------------------------------------------------------------------
 // Batch cover sharing.
 // ---------------------------------------------------------------------------

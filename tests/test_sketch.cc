@@ -1,4 +1,7 @@
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "sketch/fm_sketch.h"
@@ -127,6 +130,53 @@ TEST(FmSketchDeath, MergeRequiresSameShape) {
   FmSketch a(8, 1), b(16, 1), c(8, 2);
   EXPECT_DEATH(a.Merge(b), "Check failed");
   EXPECT_DEATH(a.Merge(c), "Check failed");
+}
+
+// The per-copy bits Add has always set: copy i hashes the element with
+// SplitMix64 under SplitMix64(seed + golden * (i + 1)). Sketches feed GDSP's
+// FM strategy and FM-greedy, so these bits must never change.
+uint32_t ReferenceBit(uint64_t element, uint64_t seed, size_t copy) {
+  const uint64_t h = util::SplitMix64(
+      element ^ util::SplitMix64(seed + 0x9e3779b97f4a7c15ULL * (copy + 1)));
+  const int pos = h == 0 ? 31 : std::min(31, std::countr_zero(h));
+  return 1u << pos;
+}
+
+TEST(FmSketch, AddSetsTheReferenceBits) {
+  for (const uint64_t seed : {0x5eedf00d5eedf00dULL, 1ULL, 12345ULL}) {
+    FmSketch sk(30, seed);
+    std::vector<uint32_t> want(30, 0u);
+    for (uint64_t x = 0; x < 500; ++x) {
+      const uint64_t element = x * 0x9e3779b9ULL + (x & 7);
+      sk.Add(element);
+      for (size_t i = 0; i < want.size(); ++i) {
+        want[i] |= ReferenceBit(element, seed, i);
+      }
+      ASSERT_EQ(sk.words(), want) << "seed=" << seed << " element=" << element;
+    }
+  }
+}
+
+TEST(FmSketch, AddEqualsOrOfElementMask) {
+  const FmSketch empty(30, 99);
+  FmSketch added = empty;
+  FmSketch masked = empty;
+  std::vector<uint32_t> mask(30);
+  for (uint64_t element = 0; element < 2000; element += 3) {
+    added.Add(element);
+    empty.ElementMask(element, mask.data());
+    for (size_t i = 0; i < mask.size(); ++i) {
+      EXPECT_EQ(mask[i], ReferenceBit(element, 99, i));
+    }
+    masked.AddMask(mask.data());
+    ASSERT_EQ(added.words(), masked.words()) << "element=" << element;
+  }
+  // Copies share the salts of the sketch they were copied from, and a copy
+  // fills exactly like a freshly constructed sketch.
+  EXPECT_TRUE(empty.IsEmpty());
+  FmSketch fresh(30, 99);
+  for (uint64_t element = 0; element < 2000; element += 3) fresh.Add(element);
+  EXPECT_EQ(fresh.words(), added.words());
 }
 
 }  // namespace
