@@ -1,6 +1,7 @@
 #include "exec/cover_build.h"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 
 #include "netclus/cluster_index.h"
@@ -60,6 +61,34 @@ BuiltCover BuildCover(const index::MultiIndex& index,
     out.rep_sites.push_back(cluster.representative);
   }
 
+  // Every TL list of the instance, decoded once into one flat array: a
+  // cover build visits each list from many representatives, and decoding
+  // per visit would repeat the same varint work. List g's live entries
+  // (tombstones applied by ForEach, dead trajectories dropped) are
+  // tl[tl_begin[g], tl_end[g]); slots are sized by the O(1) TlList::size().
+  const size_t num_trajs = store.total_count();
+  const unsigned t = util::ResolveThreads(threads);
+  const size_t num_clusters = instance.num_clusters();
+  std::vector<uint64_t> tl_begin(num_clusters + 1, 0);
+  for (uint32_t g = 0; g < num_clusters; ++g) {
+    tl_begin[g + 1] = tl_begin[g] + instance.cluster(g).tl.size();
+  }
+  std::vector<uint64_t> tl_end(num_clusters);
+  const std::unique_ptr<TlEntry[]> tl(new TlEntry[tl_begin[num_clusters]]);
+  util::ParallelFor(
+      t, num_clusters,
+      [&](size_t begin, size_t end) {
+        for (size_t g = begin; g < end; ++g) {
+          TlEntry* out = tl.get() + tl_begin[g];
+          instance.cluster(static_cast<uint32_t>(g)).tl.ForEach(
+              [&](const TlEntry& e) {
+                if (store.is_alive(e.traj)) *out++ = e;
+              });
+          tl_end[g] = static_cast<uint64_t>(out - tl.get());
+        }
+      },
+      util::CoarseGrain(t, num_clusters, 8));
+
   // T̂C per representative, chunked over representatives and sorted into
   // CoverOrder by the worker that built it. Every representative's cover
   // depends only on the immutable index, and the scratch is reset per
@@ -67,8 +96,6 @@ BuiltCover BuildCover(const index::MultiIndex& index,
   // covers. Clusters differ widely in size, so ~8 chunks per thread keep
   // the workers evenly loaded; the scratch is per thread, not per chunk,
   // so the extra chunks cost no allocations.
-  const size_t num_trajs = store.total_count();
-  const unsigned t = util::ResolveThreads(threads);
   const size_t grain =
       util::CoarseGrain(t, rep_cluster.size(), /*chunks_per_thread=*/8);
 
@@ -85,30 +112,30 @@ BuiltCover BuildCover(const index::MultiIndex& index,
           float* best = scratch.best.data();
           uint32_t* stamp = scratch.stamp.data();
 
-          auto offer = [&](const TlEntry& e, float base) {
-            const float est = e.dr_m + base;
-            if (est > tau_m) return;
-            if (stamp[e.traj] != epoch) {
-              stamp[e.traj] = epoch;
-              best[e.traj] = est;
-              scratch.touched.push_back(e.traj);
-            } else if (est < best[e.traj]) {
-              best[e.traj] = est;
+          // Offers every entry of TL(g) at base + d_r(T, c_g).
+          auto offer_list = [&](uint32_t g, float base) {
+            const TlEntry* end = tl.get() + tl_end[g];
+            for (const TlEntry* e = tl.get() + tl_begin[g]; e != end; ++e) {
+              const float est = e->dr_m + base;
+              if (est > tau_m) continue;
+              if (stamp[e->traj] != epoch) {
+                stamp[e->traj] = epoch;
+                best[e->traj] = est;
+                scratch.touched.push_back(e->traj);
+              } else if (est < best[e->traj]) {
+                best[e->traj] = est;
+              }
             }
           };
 
           // Home cluster: d̂_r = d_r(T, c_i) + d_r(c_i, r_i).
-          home.tl.ForEach([&](const TlEntry& e) {
-            if (store.is_alive(e.traj)) offer(e, home.rep_rt_m);
-          });
+          offer_list(gi, home.rep_rt_m);
           // Neighbor clusters:
           // d̂_r = d_r(T, c_j) + d_r(c_j, c_i) + d_r(c_i, r_i).
           for (const ClEntry& nb : home.cl) {
             const float base = nb.dr_m + home.rep_rt_m;
             if (base > tau_m) break;  // CL is distance-sorted: rest are worse
-            instance.cluster(nb.cluster).tl.ForEach([&](const TlEntry& e) {
-              if (store.is_alive(e.traj)) offer(e, base);
-            });
+            offer_list(nb.cluster, base);
           }
 
           auto& cover = covers[r];

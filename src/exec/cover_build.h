@@ -36,12 +36,14 @@ struct BuiltCover {
   tops::CoverageIndex approx;
   std::vector<tops::SiteId> rep_sites;
   double build_seconds = 0.0;
-  /// The two phases of build_seconds: the parallel TL traversal that
-  /// computes and sorts each T̂C list, and the TC -> SC transpose.
+  /// The two phases of build_seconds: the TL decode plus the parallel
+  /// traversal that computes and sorts each T̂C list, and wrapping the
+  /// lists in `approx` (CoverageIndex::FromCovers: flatten and order
+  /// check; SC is built only if something calls approx.SC()).
   double traverse_seconds = 0.0;
   double transpose_seconds = 0.0;
-  /// approx.MemoryBytes() + the rep_sites footprint — the transient bytes
-  /// a non-shared query would have charged.
+  /// approx.MemoryBytes() at build time (TC only) + the rep_sites
+  /// footprint — the transient bytes a non-shared query would have charged.
   uint64_t bytes = 0;
 };
 

@@ -131,10 +131,19 @@ void SpanRing::Push(const Span& span) {
   Slot& slot = slots_[idx & mask_];
   // Seqlock write: odd marks in-progress, even (release) publishes. The
   // sequence encodes the global index so readers can order spans and
-  // detect slots overwritten mid-copy.
-  slot.seq.store(2 * idx + 1, std::memory_order_relaxed);
+  // detect slots overwritten mid-copy. A writer claims the slot only from
+  // an older published span, so two writers never fill one slot at once
+  // (a ring lapped mid-write): the span that finds the slot busy or
+  // already newer is dropped, as an overwrite would have dropped it.
+  uint64_t seq = slot.seq.load(std::memory_order_relaxed);
+  do {
+    if ((seq & 1) != 0 || seq > 2 * idx) return;
+  } while (!slot.seq.compare_exchange_weak(seq, 2 * idx + 1,
+                                           std::memory_order_relaxed));
+  // Release on every word: a reader that loads a word of this span also
+  // sees the odd sequence number stored above.
   for (size_t w = 0; w < kWords; ++w) {
-    slot.words[w].store(packed[w], std::memory_order_relaxed);
+    slot.words[w].store(packed[w], std::memory_order_release);
   }
   slot.seq.store(2 * idx + 2, std::memory_order_release);
 }
@@ -152,10 +161,11 @@ std::vector<Span> SpanRing::Snapshot() const {
     const uint64_t before = slot.seq.load(std::memory_order_acquire);
     if (before == 0 || (before & 1) != 0) continue;  // empty or mid-write
     uint64_t packed[kWords];
+    // Acquire on every word: if any word comes from a later writer, the
+    // sequence load below sees that writer's odd number (or later).
     for (size_t w = 0; w < kWords; ++w) {
-      packed[w] = slot.words[w].load(std::memory_order_relaxed);
+      packed[w] = slot.words[w].load(std::memory_order_acquire);
     }
-    std::atomic_thread_fence(std::memory_order_acquire);
     if (slot.seq.load(std::memory_order_relaxed) != before) continue;  // torn
     collected.push_back({before, UnpackSpan(packed)});
   }

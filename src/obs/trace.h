@@ -91,11 +91,13 @@ class SpanRing {
   // 8 words: seq + 7 payload (span packs into 7).
   static constexpr size_t kWords = 7;
   // Deliberately unguarded seqlock slots: a reader may race a writer, but
-  // every word is an individually atomic load/store, and Snapshot()
-  // validates `seq` before and after copying a slot's words, dropping any
-  // slot whose copy could be torn. Reads are therefore torn-tolerant by
-  // protocol, not by luck — do not replace the seq dance with a mutex
-  // (Push is on the request hot path and must stay wait-free).
+  // every word is an individually atomic load/store (release/acquire), a
+  // writer claims a slot by a CAS on `seq` so a slot never has two
+  // writers, and Snapshot() validates `seq` before and after copying a
+  // slot's words, dropping any slot whose copy could be torn. Reads are
+  // therefore torn-tolerant by protocol, not by luck — do not replace the
+  // seq dance with a mutex (Push is on the request hot path and must not
+  // block).
   struct Slot {
     std::atomic<uint64_t> seq{0};  // 0 = never written; odd = in progress
     std::array<std::atomic<uint64_t>, kWords> words;

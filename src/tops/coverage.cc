@@ -259,27 +259,22 @@ CoverageIndex CoverageIndex::Build(const traj::TrajectoryStore& store,
     for (const auto& cover : tc) index.stats_.cover_entries += cover.size();
   }
 
+  index.num_trajectories_ = num_trajs;
+  index.threads_ = threads;
   index.tc_ = Csr::Flatten(std::move(tc));
-  index.Transpose(num_trajs, threads);
+  index.SortTc(threads);
   if (config.compress_postings) index.Compress();
   index.stats_.build_seconds = timer.Seconds();
   return index;
 }
 
-void CoverageIndex::Transpose(size_t num_trajectories, unsigned threads) {
-  const size_t num_sites = tc_.num_lists();
-  // Pass 1: SC list lengths (prefix-summed into offsets below), the
-  // largest distance, and the TC lists not yet in CoverOrder.
-  sc_.offsets.assign(num_trajectories + 1, 0);
-  float max_dr = 0.0f;
+void CoverageIndex::SortTc(unsigned threads) {
   std::vector<SiteId> unsorted;
-  for (SiteId s = 0; s < num_sites; ++s) {
+  for (SiteId s = 0; s < tc_.num_lists(); ++s) {
     bool sorted = true;
     for (uint64_t k = tc_.offsets[s]; k < tc_.offsets[s + 1]; ++k) {
       const CoverEntry& e = tc_.entries[k];
-      NC_CHECK_LT(e.id, num_trajectories);
-      ++sc_.offsets[e.id + 1];
-      max_dr = std::max(max_dr, e.dr_m);
+      NC_CHECK_LT(e.id, num_trajectories_);
       if (k > tc_.offsets[s] && CoverOrder(e, tc_.entries[k - 1])) sorted = false;
     }
     if (!sorted) unsorted.push_back(s);
@@ -291,8 +286,29 @@ void CoverageIndex::Transpose(size_t num_trajectories, unsigned threads) {
                  tc_.entries.data() + tc_.offsets[s + 1]);
     }
   });
-  for (size_t t = 0; t < num_trajectories; ++t) {
-    sc_.offsets[t + 1] += sc_.offsets[t];
+}
+
+const CoverageIndex::Inverse& CoverageIndex::inverse() const {
+  std::call_once(sc_->once, [this] {
+    sc_->csr = Transpose();
+    sc_->built.store(true, std::memory_order_release);
+  });
+  return *sc_;
+}
+
+CoverageIndex::Csr CoverageIndex::Transpose() const {
+  const size_t num_sites = tc_.num_lists();
+  // Pass 1: SC list lengths (prefix-summed into offsets below) and the
+  // largest distance.
+  Csr sc;
+  sc.offsets.assign(num_trajectories_ + 1, 0);
+  float max_dr = 0.0f;
+  for (const CoverEntry& e : tc_.entries) {
+    ++sc.offsets[e.id + 1];
+    max_dr = std::max(max_dr, e.dr_m);
+  }
+  for (size_t t = 0; t < num_trajectories_; ++t) {
+    sc.offsets[t + 1] += sc.offsets[t];
   }
   // Pass 2: scatter in kScatterRounds rounds of rising distance. Round r
   // moves, from each TC list in site order, the entries up to
@@ -300,8 +316,8 @@ void CoverageIndex::Transpose(size_t num_trajectories, unsigned threads) {
   // round resumes where the last stopped, and the last round takes the
   // rest. Each SC list then arrives nearly in CoverOrder, which makes its
   // sort below cheap. The final order comes from that sort alone.
-  sc_.entries.resize(tc_.entries.size());
-  std::vector<uint64_t> cursor(sc_.offsets.begin(), sc_.offsets.end() - 1);
+  sc.entries.resize(tc_.entries.size());
+  std::vector<uint64_t> cursor(sc.offsets.begin(), sc.offsets.end() - 1);
   std::vector<uint64_t> next(tc_.offsets.begin(), tc_.offsets.end() - 1);
   for (uint32_t round = 0; round < kScatterRounds; ++round) {
     const float bound =
@@ -313,17 +329,18 @@ void CoverageIndex::Transpose(size_t num_trajectories, unsigned threads) {
       uint64_t k = next[s];
       for (; k < end && !(tc_.entries[k].dr_m > bound); ++k) {
         const CoverEntry& e = tc_.entries[k];
-        sc_.entries[cursor[e.id]++] = {s, e.dr_m};
+        sc.entries[cursor[e.id]++] = {s, e.dr_m};
       }
       next[s] = k;
     }
   }
-  util::ParallelFor(threads, num_trajectories, [&](size_t begin, size_t end) {
+  util::ParallelFor(threads_, num_trajectories_, [&](size_t begin, size_t end) {
     for (size_t t = begin; t < end; ++t) {
-      SortCovers(sc_.entries.data() + sc_.offsets[t],
-                 sc_.entries.data() + sc_.offsets[t + 1]);
+      SortCovers(sc.entries.data() + sc.offsets[t],
+                 sc.entries.data() + sc.offsets[t + 1]);
     }
   });
+  return sc;
 }
 
 void CoverageIndex::Compress() {
@@ -336,10 +353,11 @@ void CoverageIndex::Compress() {
     }
     return builder.Finish();
   };
+  inverse();  // SC comes from the raw TC, so it is built before TC is packed
   tc_arena_ = pack(tc_);
-  sc_arena_ = pack(sc_);
+  sc_->arena = pack(sc_->csr);
   tc_ = Csr();
-  sc_ = Csr();
+  sc_->csr = Csr();
   compressed_ = true;
 }
 
@@ -364,9 +382,11 @@ CoverageIndex CoverageIndex::FromCovers(
   CoverageIndex index;
   index.config_.tau_m = tau_m;
   index.num_live_ = num_live;
+  index.num_trajectories_ = num_trajectories;
+  index.threads_ = util::ResolveThreads(threads);
   index.tc_ = Csr::Flatten(std::move(tc));
   index.stats_.cover_entries = index.tc_.entries.size();
-  index.Transpose(num_trajectories, util::ResolveThreads(threads));
+  index.SortTc(index.threads_);
   return index;
 }
 
@@ -489,8 +509,11 @@ double CoverageIndex::EvaluateSelection(const traj::TrajectoryStore& store,
 }
 
 uint64_t CoverageIndex::MemoryBytes() const {
-  if (compressed_) return tc_arena_.bytes() + sc_arena_.bytes();
-  return tc_.MemoryBytes() + sc_.MemoryBytes();
+  if (!sc_->built.load(std::memory_order_acquire)) {
+    return compressed_ ? tc_arena_.bytes() : tc_.MemoryBytes();
+  }
+  if (compressed_) return tc_arena_.bytes() + sc_->arena.bytes();
+  return tc_.MemoryBytes() + sc_->csr.MemoryBytes();
 }
 
 }  // namespace netclus::tops

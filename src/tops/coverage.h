@@ -2,7 +2,8 @@
 //
 // For every candidate site s, TC(s) is the set of trajectories T with
 // d_r(T, s) <= τ together with the detour distance d_r(T, s); SC(T) is the
-// inverse map. This is the O(mn)-sized structure whose build cost and
+// inverse map, built from TC on the first SC() call (no query-path solver
+// reads it). This is the O(mn)-sized structure whose build cost and
 // memory footprint make plain Inc-Greedy non-scalable (Sec. 3.4, Table 9) —
 // NetClus exists to avoid materializing it at full resolution.
 //
@@ -21,7 +22,10 @@
 #ifndef NETCLUS_TOPS_COVERAGE_H_
 #define NETCLUS_TOPS_COVERAGE_H_
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "graph/dijkstra.h"
@@ -98,8 +102,8 @@ struct CoverageStats {
 
 class CoverageIndex {
  public:
-  /// Computes TC for all sites in `sites` (and SC as its inverse).
-  /// Trajectories marked deleted in the store are skipped.
+  /// Computes TC for all sites in `sites`. Trajectories marked deleted in
+  /// the store are skipped.
   static CoverageIndex Build(const traj::TrajectoryStore& store,
                              const SiteSet& sites, const CoverageConfig& config);
 
@@ -109,7 +113,8 @@ class CoverageIndex {
   /// (Eq. 10) become a coverage index whose "sites" are representatives.
   /// `num_trajectories` sizes the SC inverse; `num_live` is the utility
   /// denominator. `threads` (0 = NETCLUS_THREADS default) only changes how
-  /// fast the lists are sorted and inverted, never the result.
+  /// fast the lists are sorted (here) and inverted (on the first SC() call),
+  /// never the result.
   static CoverageIndex FromCovers(std::vector<std::vector<CoverEntry>> tc,
                                   size_t num_trajectories, size_t num_live,
                                   double tau_m, uint32_t threads = 0);
@@ -123,9 +128,7 @@ class CoverageIndex {
   size_t num_sites() const {
     return compressed_ ? tc_arena_.num_lists() : tc_.num_lists();
   }
-  size_t num_trajectories() const {
-    return compressed_ ? sc_arena_.num_lists() : sc_.num_lists();
-  }
+  size_t num_trajectories() const { return num_trajectories_; }
 
   /// Live (non-deleted) trajectories in the store at build time; the
   /// denominator for utility percentages.
@@ -138,14 +141,18 @@ class CoverageIndex {
     return tc_.list(s);
   }
 
-  /// SC(T): covering sites sorted by ascending d_r.
+  /// SC(T): covering sites sorted by ascending d_r. The first call (from
+  /// any number of threads at once) builds every SC list from TC; later
+  /// calls only read them.
   CoverList SC(traj::TrajId t) const {
-    if (compressed_) return sc_arena_.PairList<CoverEntry>(t);
-    return sc_.list(t);
+    const Inverse& sc = inverse();
+    if (compressed_) return sc.arena.PairList<CoverEntry>(t);
+    return sc.csr.list(t);
   }
 
-  /// Packs TC/SC into compressed arenas and drops the CSR arrays. Idempotent;
-  /// views from TC()/SC() decode the same entries in the same order.
+  /// Builds SC if no SC() call has yet, then packs TC/SC into compressed
+  /// arenas and drops the CSR arrays. Idempotent; views from TC()/SC()
+  /// decode the same entries in the same order.
   void Compress();
 
   /// True once Compress() ran (or the build was configured to).
@@ -174,7 +181,7 @@ class CoverageIndex {
 
   const CoverageStats& stats() const { return stats_; }
 
-  /// Analytic memory footprint of TC + SC, bytes.
+  /// Analytic memory footprint of TC, plus SC once it is built, bytes.
   uint64_t MemoryBytes() const;
 
  private:
@@ -197,19 +204,34 @@ class CoverageIndex {
     }
   };
 
-  /// Sorts every TC list that is not yet in CoverOrder, then fills SC from
-  /// TC by a two-pass counting sort (count per trajectory, then scatter)
-  /// and sorts each SC list. Every list is sorted on its own, so the split
-  /// of lists across `threads` never changes a list.
-  void Transpose(size_t num_trajectories, unsigned threads);
+  /// SC, built once from TC. `built` is set (release) after the lists are
+  /// complete, so a reader that sees it true may read them.
+  struct Inverse {
+    std::once_flag once;
+    std::atomic<bool> built{false};
+    Csr csr;                    ///< raw SC, each list in CoverOrder
+    store::PostingArena arena;  ///< packed SC (when compressed_)
+  };
+
+  /// Checks every TC id against num_trajectories_ and sorts every TC list
+  /// that is not yet in CoverOrder. Every list is sorted on its own, so the
+  /// split of lists across `threads` never changes a list.
+  void SortTc(unsigned threads);
+
+  /// SC, built on the first call (under std::call_once).
+  const Inverse& inverse() const;
+
+  /// Fills SC from the raw TC by a two-pass counting sort (count per
+  /// trajectory, then scatter) and sorts each SC list with threads_.
+  Csr Transpose() const;
 
   CoverageConfig config_;
-  // Raw storage (until Compress()): TC and SC as CSR arrays, each list in
-  // CoverOrder.
+  // Raw TC (until Compress()) as CSR arrays, each list in CoverOrder.
   Csr tc_;
-  Csr sc_;
   store::PostingArena tc_arena_;  ///< packed TC (when compressed_)
-  store::PostingArena sc_arena_;  ///< packed SC (when compressed_)
+  std::unique_ptr<Inverse> sc_ = std::make_unique<Inverse>();
+  size_t num_trajectories_ = 0;
+  unsigned threads_ = 1;  ///< threads the SC build uses
   bool compressed_ = false;
   CoverageStats stats_;
   size_t num_live_ = 0;

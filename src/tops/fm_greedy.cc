@@ -25,14 +25,18 @@ FmGreedyResult FmGreedy(const CoverageIndex& coverage,
   const sketch::FmSketch empty(config.num_sketches, config.sketch_seed);
   const size_t f = empty.num_copies();
   const size_t m = coverage.num_trajectories();
+  // Only trajectories some site covers are hashed (read off TC, so SC is
+  // never built).
+  std::vector<uint8_t> covered(m, 0);
+  for (SiteId s = 0; s < n; ++s) {
+    for (const CoverEntry& e : coverage.TC(s)) covered[e.id] = 1;
+  }
   std::vector<uint32_t> masks(m * f);
   util::ParallelFor(
       threads, m,
       [&](size_t begin, size_t end) {
         for (size_t t = begin; t < end; ++t) {
-          if (!coverage.SC(static_cast<traj::TrajId>(t)).empty()) {
-            empty.ElementMask(t, &masks[t * f]);
-          }
+          if (covered[t]) empty.ElementMask(t, &masks[t * f]);
         }
       },
       util::CoarseGrain(threads, m, 8));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "tops/scored_cover.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 #include "util/timer.h"
@@ -10,108 +11,22 @@ namespace netclus::tops {
 
 namespace {
 
-// Shared greedy machinery: maintains per-trajectory utilities U_j and
-// per-site marginal utilities, applying Algorithm 1's update rule. The α_ji
-// values of the paper are kept implicit: α_ji = max(0, ψ(T_j, s_i) - U_j)
-// at all times, so the update on a U_j change from `old` to `new` is
-// marginal[s_i] -= max(0, ψ - old) - max(0, ψ - new).
-class GreedyState {
- public:
-  GreedyState(const CoverageIndex& coverage, const PreferenceFunction& psi,
-              unsigned threads, size_t argmax_serial_cutoff)
-      : coverage_(coverage), psi_(psi), tau_(coverage.tau_m()),
-        threads_(threads), argmax_serial_cutoff_(argmax_serial_cutoff) {
-    const size_t n = coverage.num_sites();
-    weight_.resize(n);
-    marginal_.resize(n);
-    selected_.assign(n, false);
-    // Each site's weight is an independent sum over its own covering set, so
-    // the pass parallelizes without any cross-site floating-point mixing.
-    util::ParallelFor(threads_, n, [&](size_t begin, size_t end) {
-      for (size_t s = begin; s < end; ++s) {
-        weight_[s] = coverage.SiteWeight(static_cast<SiteId>(s), psi);
-        marginal_[s] = weight_[s];
-      }
-    });
-    utility_.assign(coverage.num_trajectories(), 0.0);
-  }
-
-  /// Applies site `s` as selected; returns the exact utility gain.
-  double Select(SiteId s) {
-    selected_[s] = true;
-    double gain = 0.0;
-    coverage_.TC(s).ForEach([&](const CoverEntry& e) {
-      const double score = psi_.Score(e.dr_m, tau_);
-      const double old_u = utility_[e.id];
-      if (score <= old_u) return;
-      gain += score - old_u;
-      // U_j increases: discount every covering site's marginal.
-      coverage_.SC(e.id).ForEach([&](const CoverEntry& cover) {
-        if (selected_[cover.id]) return;
-        const double other_score = psi_.Score(cover.dr_m, tau_);
-        const double before = std::max(0.0, other_score - old_u);
-        const double after = std::max(0.0, other_score - score);
-        marginal_[cover.id] -= before - after;
-      });
-      utility_[e.id] = score;
-    });
-    marginal_[s] = 0.0;
-    total_utility_ += gain;
-    return gain;
-  }
-
-  /// Site with maximal marginal utility; ties broken by maximal weight,
-  /// then maximal index (Sec. 3.3). kInvalidSite when none remain.
-  ///
-  /// (marginal, weight, id) is a total order over unselected sites, so the
-  /// argmax is associative: each chunk reports its own winner and the
-  /// winners are folded in ascending chunk order with the exact serial
-  /// tie-break — the result is bit-identical to the serial scan at every
-  /// thread count. Small scans (a few thousand doubles — the typical
-  /// clustered query space) stay serial: a pool dispatch per greedy round
-  /// would cost more than the scan itself.
-  SiteId ArgMaxMarginal() const {
-    auto better = [this](SiteId challenger, SiteId best) {
-      if (best == kInvalidSite) return true;
-      return marginal_[challenger] > marginal_[best] ||
-             (marginal_[challenger] == marginal_[best] &&
-              (weight_[challenger] > weight_[best] ||
-               (weight_[challenger] == weight_[best] && challenger > best)));
-    };
-    auto scan = [&](size_t begin, size_t end) {
-      SiteId best = kInvalidSite;
-      for (size_t s = begin; s < end; ++s) {
-        if (selected_[s]) continue;
-        if (better(static_cast<SiteId>(s), best)) best = static_cast<SiteId>(s);
-      }
-      return best;
-    };
-    if (marginal_.size() <= argmax_serial_cutoff_) {
-      return scan(0, marginal_.size());
-    }
-    return util::ParallelReduce<SiteId>(
-        threads_, marginal_.size(), kInvalidSite, scan,
-        [&](SiteId acc, SiteId chunk_best) {
-          if (chunk_best == kInvalidSite) return acc;
-          return better(chunk_best, acc) ? chunk_best : acc;
-        });
-  }
-
-  double marginal(SiteId s) const { return marginal_[s]; }
-  double total_utility() const { return total_utility_; }
-
- private:
-  const CoverageIndex& coverage_;
-  const PreferenceFunction& psi_;
-  double tau_;
-  unsigned threads_;
-  size_t argmax_serial_cutoff_;
-  std::vector<double> weight_;
-  std::vector<double> marginal_;
-  std::vector<double> utility_;
-  std::vector<bool> selected_;
-  double total_utility_ = 0.0;
+// A heap entry: an upper bound on the site's marginal, fresh when it was
+// computed in the current round.
+struct Candidate {
+  double bound;
+  double weight;
+  SiteId site;
+  uint32_t round;  ///< round the bound was computed in; 0 = never
 };
+
+// Heap order: true when `a` ranks below `b` under (bound, weight, id), the
+// order Algorithm 1 breaks ties by (Sec. 3.3).
+bool RanksBelow(const Candidate& a, const Candidate& b) {
+  return a.bound < b.bound ||
+         (a.bound == b.bound &&
+          (a.weight < b.weight || (a.weight == b.weight && a.site < b.site)));
+}
 
 }  // namespace
 
@@ -120,30 +35,49 @@ Selection IncGreedy(const CoverageIndex& coverage, const PreferenceFunction& psi
   NC_CHECK(!coverage.oom()) << "IncGreedy on an OOM coverage index";
   util::WallTimer timer;
   Selection result;
-  GreedyState state(coverage, psi, util::ResolveThreads(config.threads),
-                    config.argmax_serial_cutoff);
+  ScoredCover state(coverage, psi, util::ResolveThreads(config.threads));
+  const size_t n = coverage.num_sites();
 
+  std::vector<uint8_t> selected(n, 0);
+  double total = 0.0;
   for (SiteId es : config.existing_services) {
-    NC_CHECK_LT(es, coverage.num_sites());
-    state.Select(es);
+    NC_CHECK_LT(es, n);
+    selected[es] = 1;
+    total += state.Apply(es);
   }
-  result.base_utility = state.total_utility();
+  result.base_utility = total;
 
-  const uint32_t k = static_cast<uint32_t>(
-      std::min<size_t>(config.k, coverage.num_sites()));
-  for (uint32_t step = 0; step < k; ++step) {
-    const SiteId s = state.ArgMaxMarginal();
-    if (s == kInvalidSite) break;
-    const double gain = state.Select(s);
-    if (gain <= 0.0 && step > 0) {
-      // No residual utility anywhere; further picks are arbitrary. Keep
-      // selecting (the paper's formulation returns exactly k sites), but
-      // gains stay zero.
-    }
-    result.sites.push_back(s);
-    result.marginal_gains.push_back(gain);
+  // Every bound starts at the site weight, which no marginal exceeds, and
+  // stale: the first round re-scores a top before it can be picked.
+  std::vector<Candidate> heap;
+  heap.reserve(n);
+  for (SiteId s = 0; s < n; ++s) {
+    if (selected[s]) continue;
+    const double weight = state.Weight(s);
+    heap.push_back({weight, weight, s, 0});
   }
-  result.utility = state.total_utility();
+  std::make_heap(heap.begin(), heap.end(), RanksBelow);
+
+  const size_t k = std::min<size_t>(config.k, n);
+  uint32_t round = 1;
+  while (result.sites.size() < k && !heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), RanksBelow);
+    Candidate& top = heap.back();
+    if (top.round != round) {
+      // Stale: re-score and sift back in.
+      top.bound = state.Marginal(top.site);
+      top.round = round;
+      std::push_heap(heap.begin(), heap.end(), RanksBelow);
+      continue;
+    }
+    const double gain = state.Apply(top.site);
+    total += gain;
+    result.sites.push_back(top.site);
+    result.marginal_gains.push_back(gain);
+    heap.pop_back();
+    ++round;
+  }
+  result.utility = total;
   result.solve_seconds = timer.Seconds();
   return result;
 }

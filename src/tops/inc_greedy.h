@@ -4,6 +4,25 @@
 // Also supports warm-starting from existing service locations ES
 // (Sec. 7.3): Q starts at ES, marginals are discounted accordingly, and the
 // same (1 - 1/e) bound holds for the extra utility.
+//
+// Evaluation is lazy (CELF; Leskovec et al., KDD 2007): ψ is scored once per
+// TC entry, and a max-heap keyed by (marginal bound, weight, id) starts at
+// the site weights. Each round re-scores stale tops from TC(s) alone and
+// selects the first top whose bound is fresh this round. Every term
+// max(0, ψ - U_j) of a marginal only falls as utilities rise and a float
+// sum in fixed order is monotone in its terms, so a stale bound is never
+// below the true marginal, and a fresh top is the exact argmax under
+// Algorithm 1's order (marginal, then weight, then id). SC is never read.
+//
+// Once utility is exhausted (every remaining marginal is 0; k exceeds the
+// sites with positive gain), picks follow (0, weight, id): the largest
+// weight first. An eager solver that updates marginals by subtraction picks
+// by the rounding residue those updates leave instead; gains (all zero)
+// and utility are the same either way. The residue also decides the eager
+// pick at near-ties above zero, where two fresh marginals differ only in
+// their last bits (or tie while the residues differ); there the lazy pick
+// is the larger fresh sum, and the two solvers' later rounds diverge.
+// tests/test_greedy.cc pins both cases against an eager copy.
 #ifndef NETCLUS_TOPS_INC_GREEDY_H_
 #define NETCLUS_TOPS_INC_GREEDY_H_
 
@@ -21,18 +40,10 @@ struct GreedyConfig {
   /// Existing service locations ES (Sec. 7.3): treated as already selected;
   /// not counted against k and not reported in Selection::sites.
   std::vector<SiteId> existing_services;
-  /// Worker threads for the per-round marginal-gain scan and the initial
-  /// site-weight pass (0 = NETCLUS_THREADS default). The argmax tie-break
-  /// (marginal, then weight, then site id) is a total order evaluated
-  /// chunk-by-chunk in ascending order, so selections are bit-identical to
-  /// the serial path at every thread count.
+  /// Worker threads for scoring ψ once per TC entry (0 = NETCLUS_THREADS
+  /// default). The greedy rounds are serial, so selections are identical
+  /// at every thread count.
   uint32_t threads = 0;
-  /// Site counts at or below this use the serial argmax scan even when
-  /// `threads` > 1 — a pool dispatch per greedy round costs more than
-  /// scanning a few thousand doubles. Purely a performance heuristic (the
-  /// chunked argmax is exactly equivalent); tests set it to 0 to force the
-  /// parallel fold on small corpora.
-  size_t argmax_serial_cutoff = 16384;
 };
 
 /// Result of any TOPS solver in this library.

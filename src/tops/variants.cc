@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <optional>
-#include <utility>
 
+#include "tops/scored_cover.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 #include "util/timer.h"
@@ -17,130 +16,6 @@ namespace {
 size_t CapOf(double capacity) {
   return static_cast<size_t>(std::max(0.0, std::floor(capacity)));
 }
-
-// Sum of the `cap` largest values of *gains (all of them when there are no
-// more than `cap`); reorders *gains.
-double CappedSum(std::vector<double>* gains, size_t cap) {
-  double sum = 0.0;
-  if (gains->size() <= cap) {
-    for (double g : *gains) sum += g;
-  } else {
-    std::nth_element(gains->begin(), gains->begin() + cap, gains->end(),
-                     std::greater<>());
-    for (size_t i = 0; i < cap; ++i) sum += (*gains)[i];
-  }
-  return sum;
-}
-
-// The greedy state every variant shares: ψ(d_r, τ) of each TC entry, scored
-// once per solve, and the per-trajectory utilities U_j. The scores of TC(s)
-// are scores_[offsets_[s], offsets_[s + 1]) in TC order; rounds walk TC(s)'s
-// ids alongside that slice. Each score is the PreferenceFunction::Score call
-// a round would make and every sum runs in TC order, so marginals are
-// bit-identical to re-scoring in every round.
-class ScoredCover {
- public:
-  ScoredCover(const CoverageIndex& coverage, const PreferenceFunction& psi,
-              unsigned threads)
-      : coverage_(coverage),
-        offsets_(coverage.num_sites() + 1, 0),
-        utility_(coverage.num_trajectories(), 0.0) {
-    const size_t n = coverage.num_sites();
-    for (SiteId s = 0; s < n; ++s) {
-      offsets_[s + 1] = offsets_[s] + coverage.TC(s).size();
-    }
-    scores_.resize(offsets_[n]);
-    const double tau = coverage.tau_m();
-    util::ParallelFor(
-        threads, n,
-        [&](size_t begin, size_t end) {
-          for (size_t s = begin; s < end; ++s) {
-            double* out = scores_.data() + offsets_[s];
-            for (const CoverEntry& e : coverage.TC(static_cast<SiteId>(s))) {
-              *out++ = psi.Score(e.dr_m, tau);
-            }
-          }
-        },
-        util::CoarseGrain(threads, n, 8));
-  }
-
-  /// Σ ψ over TC(s): the site weight w_s, as CoverageIndex::SiteWeight sums it.
-  double Weight(SiteId s) const {
-    double w = 0.0;
-    for (uint64_t i = offsets_[s]; i < offsets_[s + 1]; ++i) w += scores_[i];
-    return w;
-  }
-
-  /// Σ max(0, ψ_j - U_j) over TC(s).
-  double Marginal(SiteId s) const {
-    double gain = 0.0;
-    ForEachGain(s, [&](uint32_t, double, double g) { gain += g; });
-    return gain;
-  }
-
-  /// The marginal when s serves at most `cap` trajectories: the sum of its
-  /// `cap` largest per-trajectory gains. `gains` is caller scratch.
-  double CappedMarginal(SiteId s, size_t cap,
-                        std::vector<double>* gains) const {
-    gains->clear();
-    ForEachGain(s, [&](uint32_t, double, double g) { gains->push_back(g); });
-    return CappedSum(gains, cap);
-  }
-
-  /// The capped utility of s on its own (every U_j taken as 0).
-  double CappedWeight(SiteId s, size_t cap, std::vector<double>* gains) const {
-    gains->assign(scores_.begin() + offsets_[s],
-                  scores_.begin() + offsets_[s + 1]);
-    return CappedSum(gains, cap);
-  }
-
-  /// Selects s: raises every U_j over TC(s) to ψ_j. Returns the gain.
-  double Apply(SiteId s) {
-    double gain = 0.0;
-    ForEachGain(s, [&](uint32_t t, double score, double g) {
-      gain += g;
-      utility_[t] = score;
-    });
-    return gain;
-  }
-
-  /// Selects s to serve at most `cap` trajectories: the ones with the
-  /// largest gains (ties by larger id). Returns the gain; `*served` is
-  /// the number served.
-  double ApplyCapped(SiteId s, size_t cap, uint32_t* served) {
-    std::vector<std::pair<double, uint32_t>> ranked;  // (gain, traj)
-    ForEachGain(s, [&](uint32_t t, double, double g) {
-      ranked.emplace_back(g, t);
-    });
-    std::sort(ranked.begin(), ranked.end(), std::greater<>());
-    if (ranked.size() > cap) ranked.resize(cap);
-    double gain = 0.0;
-    for (const auto& [g, t] : ranked) {
-      utility_[t] += g;
-      gain += g;
-    }
-    *served = static_cast<uint32_t>(ranked.size());
-    return gain;
-  }
-
- private:
-  /// Calls fn(traj, ψ_j, ψ_j - U_j) for every entry of TC(s) with
-  /// ψ_j > U_j, in TC order.
-  template <typename Fn>
-  void ForEachGain(SiteId s, Fn&& fn) const {
-    const double* score = scores_.data() + offsets_[s];
-    for (const CoverEntry& e : coverage_.TC(s)) {
-      const double u = utility_[e.id];
-      if (*score > u) fn(e.id, *score, *score - u);
-      ++score;
-    }
-  }
-
-  const CoverageIndex& coverage_;
-  std::vector<uint64_t> offsets_;
-  std::vector<double> scores_;
-  std::vector<double> utility_;
-};
 
 // A scan's winner: the first site holding the largest value.
 struct Pick {

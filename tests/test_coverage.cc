@@ -1,4 +1,6 @@
 #include <algorithm>
+#include <atomic>
+#include <thread>
 
 #include "graph/dijkstra.h"
 #include "gtest/gtest.h"
@@ -403,6 +405,47 @@ TEST(CoverageTranspose, FromCoversMatchesVectorOfVectorsReference) {
       EXPECT_TRUE(cov.TC(3).empty());
       EXPECT_TRUE(cov.SC(num_trajs - 1).empty());
       EXPECT_GT(cov.SC(0).size(), 48u);  // past the short-list cutoff
+    }
+  }
+}
+
+TEST(CoverageTranspose, ConcurrentFirstScCallsBuildTheReferenceInverse) {
+  const size_t num_sites = 90, num_trajs = 160;
+  const std::vector<std::vector<CoverEntry>> input =
+      RandomCovers(41, num_sites, num_trajs);
+  const ReferenceCovers ref = ReferenceFromCovers(input, num_trajs);
+  for (const uint32_t build_threads : {1u, 4u}) {
+    SCOPED_TRACE("build threads " + std::to_string(build_threads));
+    const CoverageIndex cov = CoverageIndex::FromCovers(
+        input, num_trajs, num_trajs, 300.0, build_threads);
+    // FromCovers leaves SC unbuilt: only TC is charged until an SC() call.
+    const uint64_t tc_bytes = cov.MemoryBytes();
+
+    // Eight readers race to the first SC() call; each copies every list.
+    constexpr int kReaders = 8;
+    std::vector<std::vector<std::vector<CoverEntry>>> seen(kReaders);
+    std::atomic<bool> go{false};
+    std::vector<std::thread> readers;
+    for (int r = 0; r < kReaders; ++r) {
+      readers.emplace_back([&, r] {
+        while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+        for (traj::TrajId t = 0; t < num_trajs; ++t) {
+          const CoverList sc = cov.SC(t);
+          seen[r].emplace_back(sc.begin(), sc.end());
+        }
+      });
+    }
+    go.store(true, std::memory_order_release);
+    for (std::thread& reader : readers) reader.join();
+
+    EXPECT_GT(cov.MemoryBytes(), tc_bytes);
+    for (int r = 0; r < kReaders; ++r) {
+      for (traj::TrajId t = 0; t < num_trajs; ++t) {
+        const std::vector<CoverEntry>& got = seen[r][t];
+        ExpectSameList(ref.sc[t], CoverList::Raw(got.data(), got.size()),
+                       "reader " + std::to_string(r) + " SC(" +
+                           std::to_string(t) + ")");
+      }
     }
   }
 }

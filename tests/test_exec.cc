@@ -369,6 +369,50 @@ TEST(Exec, SolvesAreRecordedPerSolver) {
             std::string::npos);
 }
 
+TEST(Exec, QueryPathSolversLeaveTheCoverInverseUnbuilt) {
+  const Engine engine = MakeEngine();
+  const size_t n = engine.sites().size();
+  std::vector<Engine::QuerySpec> specs(5);
+  specs[0].k = 4;  // TOPS, Inc-Greedy
+  specs[1].k = 3;  // TOPS with existing services
+  specs[1].tau_m = 900.0;
+  specs[1].psi = PreferenceFunction::Linear();
+  specs[1].existing_services =
+      engine.TopK(2, 900.0, PreferenceFunction::Binary()).selection.sites;
+  specs[2].k = 3;  // FM-greedy
+  specs[2].use_fm = true;
+  specs[3].variant = exec::QueryVariant::kTopsCost;
+  specs[3].psi = PreferenceFunction::Linear();
+  specs[3].site_costs = tops::DrawNormalCosts(n, 1.0, 0.4, 0.1, 63);
+  specs[3].budget = 4.0;
+  specs[4].variant = exec::QueryVariant::kTopsCapacity;
+  specs[4].k = 4;
+  specs[4].site_capacities = std::vector<double>(n, 8.0);
+
+  // Engine::Run's own stages, keeping the cover it builds.
+  exec::ExecContext ctx;
+  const exec::Planner planner(&ctx);
+  const exec::Executor executor(&engine.index(), &engine.store(),
+                                &engine.sites(), &ctx);
+  for (size_t i = 0; i < specs.size(); ++i) {
+    SCOPED_TRACE("spec " + std::to_string(i));
+    const exec::QueryPlan plan = planner.Plan(
+        specs[i].ToRequest(engine.options().threads), engine.index(), 1);
+    bool reused = true;
+    const exec::CoverPtr cover = executor.ObtainCover(plan, plan.threads, &reused);
+    const index::QueryResult staged =
+        executor.ExecuteOnCover(plan, cover, reused);
+    ExpectBitIdentical(engine.Run(specs[i]), staged, "staged vs Run");
+
+    // MemoryBytes() counts SC once it is built; after the solve it still
+    // equals the TC bytes charged at build time, and an SC() call adds to it.
+    const uint64_t rep_bytes = cover->rep_sites.size() * sizeof(SiteId);
+    EXPECT_EQ(cover->bytes, cover->approx.MemoryBytes() + rep_bytes);
+    (void)cover->approx.SC(0);
+    EXPECT_GT(cover->approx.MemoryBytes() + rep_bytes, cover->bytes);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Batch cover sharing.
 // ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 #include <algorithm>
+#include <numeric>
+#include <string>
 
 #include "gtest/gtest.h"
 #include "test_helpers.h"
@@ -252,6 +254,270 @@ TEST(FmGreedy, EarlyTerminationDoesFewerUnionsThanBruteScan) {
   // Brute force would do k * n = 200 unions; early termination must save
   // at least a few.
   EXPECT_LT(got.union_operations, 5u * 40u);
+}
+
+
+// ---------------------------------------------------------------------------
+// Lazy Inc-Greedy against the eager solver it replaced.
+// ---------------------------------------------------------------------------
+
+// A test-local copy of the eager, SC-based Inc-Greedy: marginals start at
+// the site weights and every utility rise is subtracted from the marginal
+// of each unselected site covering the trajectory (walked through SC);
+// each round scans all sites for the (marginal, weight, id) argmax.
+Selection EagerIncGreedy(const CoverageIndex& coverage,
+                         const PreferenceFunction& psi,
+                         const GreedyConfig& config) {
+  const size_t n = coverage.num_sites();
+  const double tau = coverage.tau_m();
+  std::vector<double> weight(n), marginal(n);
+  std::vector<double> utility(coverage.num_trajectories(), 0.0);
+  std::vector<bool> selected(n, false);
+  for (SiteId s = 0; s < n; ++s) {
+    weight[s] = coverage.SiteWeight(s, psi);
+    marginal[s] = weight[s];
+  }
+  double total = 0.0;
+  const auto select = [&](SiteId s) {
+    selected[s] = true;
+    double gain = 0.0;
+    coverage.TC(s).ForEach([&](const CoverEntry& e) {
+      const double score = psi.Score(e.dr_m, tau);
+      const double old_u = utility[e.id];
+      if (score <= old_u) return;
+      gain += score - old_u;
+      coverage.SC(e.id).ForEach([&](const CoverEntry& cover) {
+        if (selected[cover.id]) return;
+        const double other = psi.Score(cover.dr_m, tau);
+        marginal[cover.id] -=
+            std::max(0.0, other - old_u) - std::max(0.0, other - score);
+      });
+      utility[e.id] = score;
+    });
+    marginal[s] = 0.0;
+    total += gain;
+    return gain;
+  };
+
+  Selection result;
+  for (SiteId es : config.existing_services) select(es);
+  result.base_utility = total;
+  const uint32_t k = static_cast<uint32_t>(std::min<size_t>(config.k, n));
+  for (uint32_t step = 0; step < k; ++step) {
+    SiteId best = kInvalidSite;
+    for (SiteId s = 0; s < n; ++s) {
+      if (selected[s]) continue;
+      if (best == kInvalidSite || marginal[s] > marginal[best] ||
+          (marginal[s] == marginal[best] &&
+           (weight[s] > weight[best] ||
+            (weight[s] == weight[best] && s > best)))) {
+        best = s;
+      }
+    }
+    if (best == kInvalidSite) break;
+    result.marginal_gains.push_back(select(best));
+    result.sites.push_back(best);
+  }
+  result.utility = total;
+  return result;
+}
+
+// A random cover: mostly distances on a 25 m grid (many exact ties), some
+// continuous ones and some beyond τ, some empty lists, and some
+// trajectories no site covers.
+CoverageIndex RandomGreedyCover(util::Rng& rng, double tau_m) {
+  const uint32_t num_sites = 20 + static_cast<uint32_t>(rng.UniformInt(80));
+  const uint32_t num_trajs = 30 + static_cast<uint32_t>(rng.UniformInt(150));
+  std::vector<std::vector<CoverEntry>> tc(num_sites);
+  for (auto& list : tc) {
+    if (rng.UniformInt(8) == 0) continue;  // an uncovering site
+    const uint64_t len = 1 + rng.UniformInt(num_trajs / 4);
+    std::vector<uint32_t> ids(num_trajs);
+    std::iota(ids.begin(), ids.end(), 0u);
+    for (uint64_t i = 0; i < len; ++i) {
+      std::swap(ids[i], ids[i + rng.UniformInt(num_trajs - i)]);
+      const float dr =
+          rng.UniformInt(4) == 0
+              ? static_cast<float>(rng.Uniform(0.0, tau_m * 1.05))
+              : 25.0f * static_cast<float>(rng.UniformInt(
+                            static_cast<uint64_t>(tau_m / 25.0) + 1));
+      list.push_back({ids[i], dr});
+    }
+  }
+  return CoverageIndex::FromCovers(std::move(tc), num_trajs + 5, num_trajs,
+                                   tau_m);
+}
+
+std::vector<PreferenceFunction> EveryPsi() {
+  return {PreferenceFunction::Binary(), PreferenceFunction::Linear(),
+          PreferenceFunction::Exponential(3.0),
+          PreferenceFunction::ConvexProbability(2.0),
+          PreferenceFunction::NegativeDistance(900.0)};
+}
+
+// Σ max(0, ψ_j - U_j) over TC(s) in TC order, after applying `applied`.
+double FreshMarginal(const CoverageIndex& cover, const PreferenceFunction& psi,
+                     const std::vector<SiteId>& applied, SiteId s) {
+  std::vector<double> utility(cover.num_trajectories(), 0.0);
+  for (SiteId a : applied) {
+    cover.TC(a).ForEach([&](const CoverEntry& e) {
+      utility[e.id] = std::max(utility[e.id], psi.Score(e.dr_m, cover.tau_m()));
+    });
+  }
+  double gain = 0.0;
+  cover.TC(s).ForEach([&](const CoverEntry& e) {
+    const double score = psi.Score(e.dr_m, cover.tau_m());
+    if (score > utility[e.id]) gain += score - utility[e.id];
+  });
+  return gain;
+}
+
+enum class Agreement { kIdentical, kZeroGainTail, kNearTie };
+
+// Compares a lazy run with the eager one. They agree bit for bit up to the
+// first step where their picks differ, which can happen only at a tie the
+// eager subtraction residue decides (inc_greedy.h):
+//  * in the zero-gain tail, where every later gain is exactly zero in both
+//    runs and utilities agree bit for bit;
+//  * at a near-tie above zero, where the two picks' fresh marginals agree
+//    to rounding and the lazy pick's is the larger. The runs then cover
+//    different trajectories, so later steps are not compared.
+Agreement CompareLazyToEager(const CoverageIndex& cover,
+                             const PreferenceFunction& psi,
+                             const GreedyConfig& config, const Selection& eager,
+                             const Selection& lazy) {
+  EXPECT_EQ(lazy.base_utility, eager.base_utility);
+  EXPECT_EQ(lazy.sites.size(), eager.sites.size());
+  EXPECT_EQ(lazy.marginal_gains.size(), lazy.sites.size());
+  const size_t steps = std::min(lazy.sites.size(), eager.sites.size());
+  size_t i = 0;
+  for (; i < steps && lazy.sites[i] == eager.sites[i]; ++i) {
+    EXPECT_EQ(lazy.marginal_gains[i], eager.marginal_gains[i]) << "step " << i;
+  }
+  if (i == steps) {
+    EXPECT_EQ(lazy.utility, eager.utility);
+    return Agreement::kIdentical;
+  }
+  SCOPED_TRACE("picks differ first at step " + std::to_string(i));
+  if (eager.marginal_gains[i] == 0.0) {
+    for (size_t j = i; j < steps; ++j) {
+      EXPECT_EQ(lazy.marginal_gains[j], 0.0) << "step " << j;
+      EXPECT_EQ(eager.marginal_gains[j], 0.0) << "step " << j;
+    }
+    EXPECT_EQ(lazy.utility, eager.utility);
+    return Agreement::kZeroGainTail;
+  }
+  std::vector<SiteId> applied = config.existing_services;
+  applied.insert(applied.end(), lazy.sites.begin(), lazy.sites.begin() + i);
+  const double lazy_marginal = FreshMarginal(cover, psi, applied, lazy.sites[i]);
+  const double eager_marginal =
+      FreshMarginal(cover, psi, applied, eager.sites[i]);
+  EXPECT_EQ(lazy.marginal_gains[i], lazy_marginal);
+  EXPECT_EQ(eager.marginal_gains[i], eager_marginal);
+  EXPECT_GE(lazy_marginal, eager_marginal);
+  EXPECT_LE(lazy_marginal - eager_marginal, 1e-12 * lazy_marginal);
+  return Agreement::kNearTie;
+}
+
+// Counts of each outcome over every (cover, ψ, threads) run.
+struct AgreementCounts {
+  size_t identical = 0, zero_gain_tail = 0, near_tie = 0;
+};
+
+// Runs eager and lazy on one seeded cover (raw and compressed), every ψ
+// and threads 1/2/4/8.
+void CompareOnSeed(uint64_t seed, AgreementCounts* counts) {
+  SCOPED_TRACE(test::SeedTrace(seed));
+  util::Rng rng(seed);
+  CoverageIndex cover = RandomGreedyCover(rng, 800.0);
+  const size_t n = cover.num_sites();
+  // Existing services: none, a few, or a few with a duplicate.
+  std::vector<SiteId> es;
+  const uint64_t num_es = rng.UniformInt(4);
+  for (uint64_t i = 0; i < num_es; ++i) {
+    es.push_back(static_cast<SiteId>(rng.UniformInt(n)));
+  }
+  if (!es.empty() && rng.UniformInt(2) == 0) es.push_back(es.front());
+  GreedyConfig config;
+  config.k = 1 + static_cast<uint32_t>(rng.UniformInt(8));
+  config.existing_services = es;
+  for (const bool compress : {false, true}) {
+    if (compress) cover.Compress();
+    SCOPED_TRACE(compress ? "compressed" : "raw");
+    for (const PreferenceFunction& psi : EveryPsi()) {
+      SCOPED_TRACE(psi.name());
+      const Selection eager = EagerIncGreedy(cover, psi, config);
+      for (const uint32_t threads : {1u, 2u, 4u, 8u}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        config.threads = threads;
+        const Selection lazy = IncGreedy(cover, psi, config);
+        switch (CompareLazyToEager(cover, psi, config, eager, lazy)) {
+          case Agreement::kIdentical:
+            ++counts->identical;
+            break;
+          case Agreement::kZeroGainTail:
+            ++counts->zero_gain_tail;
+            break;
+          case Agreement::kNearTie:
+            ++counts->near_tie;
+            break;
+        }
+      }
+    }
+  }
+}
+
+TEST(IncGreedyDifferential, LazyMatchesEager) {
+  AgreementCounts counts;
+  for (size_t round = 0; round < test::FuzzRounds(12); ++round) {
+    CompareOnSeed(test::FuzzSeed(0x1a2e, round), &counts);
+  }
+  // Most runs are compared in full, so the contract is not vacuous.
+  EXPECT_GT(counts.identical, counts.zero_gain_tail + counts.near_tie);
+}
+
+TEST(IncGreedyDifferential, NearTiesAreDecidedByFreshMarginals) {
+  // Covers where the eager solver's subtraction residue broke a near-tie
+  // differently from the fresh sums (found in 3000 seeds of the test
+  // above; linear and negative-distance ψ).
+  AgreementCounts counts;
+  for (const uint64_t seed :
+       {7453968960189908105ull, 3276543306827717217ull, 6594763193222122903ull}) {
+    CompareOnSeed(seed, &counts);
+  }
+  EXPECT_GT(counts.near_tie, 0u);
+}
+
+TEST(IncGreedyDifferential, ExhaustedUtilityGivesZeroGainsAndTheSameUtility) {
+  // k is every site, so the rounds run past the last positive marginal.
+  util::Rng rng(0xe8a5);
+  CoverageIndex cover = RandomGreedyCover(rng, 800.0);
+  for (const bool compress : {false, true}) {
+    if (compress) cover.Compress();
+    SCOPED_TRACE(compress ? "compressed" : "raw");
+    for (const PreferenceFunction& psi : EveryPsi()) {
+      SCOPED_TRACE(psi.name());
+      GreedyConfig config;
+      config.k = static_cast<uint32_t>(cover.num_sites());
+      config.existing_services = {3, 3};
+      const Selection eager = EagerIncGreedy(cover, psi, config);
+      const Selection lazy = IncGreedy(cover, psi, config);
+      ASSERT_GT(eager.marginal_gains.size(), 0u);
+      ASSERT_EQ(eager.marginal_gains.back(), 0.0) << "utility not exhausted";
+      EXPECT_NE(CompareLazyToEager(cover, psi, config, eager, lazy),
+                Agreement::kNearTie);
+      // The lazy tail follows (0, weight, id): weights never rise.
+      size_t positive = 0;
+      while (positive < lazy.marginal_gains.size() &&
+             lazy.marginal_gains[positive] > 0.0) {
+        ++positive;
+      }
+      for (size_t i = positive + 1; i < lazy.sites.size(); ++i) {
+        EXPECT_GE(cover.SiteWeight(lazy.sites[i - 1], psi),
+                  cover.SiteWeight(lazy.sites[i], psi));
+      }
+    }
+  }
 }
 
 }  // namespace

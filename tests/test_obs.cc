@@ -253,6 +253,66 @@ TEST(SpanRing, ConcurrentPushersStayTornFree) {
   }
 }
 
+// Every payload word of the span is derived from one value, so a span
+// whose words come from two different pushes fails the check.
+obs::Span ConsistentSpan(uint64_t x) {
+  obs::Span span;
+  span.trace_id = x;
+  span.start_ns = x * 3;
+  span.duration_ns = x * 7;
+  span.plan_fingerprint = ~x;
+  span.snapshot_version = x + 11;
+  span.flags = static_cast<uint32_t>(x * 5);
+  span.thread_id = static_cast<uint32_t>(x >> 2);
+  span.name = static_cast<obs::SpanName>(x % 7);
+  span.lane = static_cast<uint8_t>(x % 251);
+  return span;
+}
+
+bool IsConsistent(const obs::Span& s) {
+  const obs::Span want = ConsistentSpan(s.trace_id);
+  return s.start_ns == want.start_ns && s.duration_ns == want.duration_ns &&
+         s.plan_fingerprint == want.plan_fingerprint &&
+         s.snapshot_version == want.snapshot_version &&
+         s.flags == want.flags && s.thread_id == want.thread_id &&
+         s.name == want.name && s.lane == want.lane;
+}
+
+TEST(SpanRing, WritersLappingReadersNeverYieldTornSpans) {
+  // Four slots and four writers: writers lap each other and the readers
+  // constantly, so slots are rewritten while they are being copied.
+  obs::SpanRing ring(4);
+  constexpr int kWriters = 4;
+  constexpr int kReaders = 2;
+  constexpr uint64_t kPerWriter = 20000;
+  std::atomic<int> writers_left{kWriters};
+  std::atomic<uint64_t> torn{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      for (uint64_t i = 0; i < kPerWriter; ++i) {
+        ring.Push(ConsistentSpan(uint64_t(w) * kPerWriter + i));
+      }
+      writers_left.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&] {
+      while (writers_left.load(std::memory_order_acquire) > 0) {
+        for (const obs::Span& s : ring.Snapshot()) {
+          if (!IsConsistent(s)) torn.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(torn.load(), 0u);
+  EXPECT_EQ(ring.pushed(), uint64_t{kWriters} * kPerWriter);
+  const std::vector<obs::Span> last = ring.Snapshot();
+  EXPECT_FALSE(last.empty());
+  for (const obs::Span& s : last) EXPECT_TRUE(IsConsistent(s));
+}
+
 // --- trace context ----------------------------------------------------------
 
 TEST(TraceContext, UnsampledTailKeepSynthesizesCoarseSpans) {
